@@ -1,7 +1,8 @@
 """Batch command-line interface.
 
 Subcommands: infer, rectify, bench, diagnose, generate.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error (including a loss or
+rectifier that cannot handle the data), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ import sys
 
 from .diagnostics import predict_centering_bias, labeled_erm, mixed_erm, sandwich
 from .exceptions import (
-    ConvergenceError,
+    CapabilityError,
     IngestionError,
     OutcomeTypeError,
     ParameterError,
-    RankDeficiencyError,
     RectipriorError,
 )
 from .harness import (
+    SCENARIO_TAGS,
     RunConfig,
     ScenarioSpec,
     generate_scenario,
@@ -38,31 +39,7 @@ from .losses import (
     QuantileLoss,
 )
 from .posterior import PriorConfig, run_posterior, serialize_run, summarize_run
-from .rectifiers import (
-    Fixed,
-    Identity,
-    Isotonic,
-    MomentAffine,
-    MomentShift,
-    Npb,
-    ProbRecalib,
-    QuantileMap,
-    Split,
-    apply_rectifier,
-    fit_rectifier,
-    serialize_rectifier,
-)
-
-_RECTIFIERS = {
-    "identity": Identity,
-    "quantile-map": QuantileMap,
-    "isotonic": Isotonic,
-    "moment-shift": MomentShift,
-    "moment-affine": MomentAffine,
-    "prob-recalib": ProbRecalib,
-}
-
-_STRATEGIES = {"fixed": Fixed, "npb": Npb}
+from .rectifiers import RECTIFIERS, STRATEGIES, fit_rectifier, serialize_rectifier
 
 
 class UsageError(Exception):
@@ -77,24 +54,12 @@ def _build_loss(args):
         return QuantileLoss(tau=args.tau)
     if name == "ols":
         return LinearRegressionLoss()
+    if args.classes is None:
+        raise UsageError(f"--classes is required for the {name} loss")
     if name == "logistic":
-        if args.classes is None:
-            raise UsageError("--classes is required for the logistic loss")
         return MultinomialLogisticLoss(num_classes=args.classes)
     if name == "mlp":
-        if args.classes is None:
-            raise UsageError("--classes is required for the mlp loss")
         return MlpLoss(hidden=args.hidden, num_classes=args.classes, seed=args.seed)
-    raise UsageError(f"unknown loss {name!r}")
-
-
-def _build_strategy(args):
-    name = args.strategy
-    if name in _STRATEGIES:
-        return _STRATEGIES[name]()
-    if name == "split":
-        return Split()
-    raise UsageError(f"unknown strategy {name!r}")
 
 
 def _build_scenario(args):
@@ -131,8 +96,7 @@ def _read_config_file(path):
 def _add_common(p):
     p.add_argument("--labeled", help="labeled sample CSV")
     p.add_argument("--base", help="base measure CSV")
-    p.add_argument("--scenario", choices=("gaussian-shift", "monotone-distortion",
-                                          "heteroscedastic-linear", "categorical-miscalibrated"))
+    p.add_argument("--scenario", choices=SCENARIO_TAGS)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--n-unlabeled", type=int, default=500)
     p.add_argument("--noise", type=float, default=0.2)
@@ -143,8 +107,8 @@ def _add_common(p):
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--classes", type=int)
     p.add_argument("--hidden", type=int, default=20)
-    p.add_argument("--rectifier", default="quantile-map", choices=sorted(_RECTIFIERS))
-    p.add_argument("--strategy", default="npb", choices=("fixed", "split", "npb"))
+    p.add_argument("--rectifier", default="quantile-map", choices=sorted(RECTIFIERS))
+    p.add_argument("--strategy", default="npb", choices=tuple(STRATEGIES))
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--draws", type=int, default=500)
     p.add_argument("--level", type=float, default=0.9)
@@ -169,10 +133,12 @@ def _make_parser():
     return parser
 
 
-def _apply_config_file(parser, argv):
+def _apply_config_file(argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise UsageError("--config needs a file path")
     values = _read_config_file(argv[i + 1])
     extra = []
     for key, value in values.items():
@@ -186,8 +152,8 @@ def _cmd_infer(args):
     loss = _build_loss(args)
     labeled, base = _load_data(args, loss)
     config = PriorConfig(gamma=args.gamma, draws=args.draws, level=args.level,
-                         strategy=_build_strategy(args),
-                         rectifier=_RECTIFIERS[args.rectifier](),
+                         strategy=STRATEGIES[args.strategy](),
+                         rectifier=RECTIFIERS[args.rectifier](),
                          seed=args.seed, threads=args.threads)
     run = run_posterior(labeled, base, loss, config)
     if args.out:
@@ -202,7 +168,7 @@ def _cmd_rectify(args):
     labeled, base = _load_data(args, loss)
     if base is None:
         raise UsageError("rectify requires a base measure")
-    fitted = fit_rectifier(_RECTIFIERS[args.rectifier](), labeled, base)
+    fitted = fit_rectifier(RECTIFIERS[args.rectifier](), labeled, base)
     text = serialize_rectifier(fitted)
     if args.out:
         with open(args.out, "w") as fh:
@@ -215,20 +181,15 @@ def _cmd_rectify(args):
 def _cmd_bench(args):
     loss = _build_loss(args)
     if args.scenario is not None:
-        config = RunConfig(loss=loss, scenario=_build_scenario(args),
-                           rectifier=_RECTIFIERS[args.rectifier](),
-                           strategy=_build_strategy(args), gamma=args.gamma,
-                           draws=args.draws, level=args.level,
-                           replications=args.replications, seed=args.seed,
-                           threads=args.threads)
+        data = {"scenario": _build_scenario(args)}
     else:
         labeled, base = _load_data(args, loss)
-        config = RunConfig(loss=loss, labeled=labeled, base=base, n=args.n,
-                           rectifier=_RECTIFIERS[args.rectifier](),
-                           strategy=_build_strategy(args), gamma=args.gamma,
-                           draws=args.draws, level=args.level,
-                           replications=args.replications, seed=args.seed,
-                           threads=args.threads)
+        data = {"labeled": labeled, "base": base, "n": args.n}
+    config = RunConfig(loss=loss, rectifier=RECTIFIERS[args.rectifier](),
+                       strategy=STRATEGIES[args.strategy](), gamma=args.gamma,
+                       draws=args.draws, level=args.level,
+                       replications=args.replications, seed=args.seed,
+                       threads=args.threads, **data)
     records = run_bench(config)
     if args.out:
         with open(args.out, "w") as fh:
@@ -274,29 +235,20 @@ _COMMANDS = {"infer": _cmd_infer, "rectify": _cmd_rectify, "bench": _cmd_bench,
 
 def cli(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _make_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _make_parser().parse_args(_apply_config_file(argv))
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    try:
-        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IngestionError, ParameterError, OutcomeTypeError) as exc:
+    except (IngestionError, ParameterError, OutcomeTypeError, CapabilityError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (RankDeficiencyError, ConvergenceError, RectipriorError) as exc:
+    except RectipriorError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main():

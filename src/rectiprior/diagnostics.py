@@ -13,18 +13,14 @@ from .losses import (
     LinearRegressionLoss,
     LossSpec,
     MeanLoss,
-    MultinomialLogisticLoss,
     QuantileLoss,
     WeightedProblem,
     mean_hessian,
     mean_score,
     scores,
     solve_weighted,
-    weighted_quantile,
 )
 from .measures import AtomicMeasure, LabeledSample, Outcomes
-
-_SMOOTH_LOSSES = (MeanLoss, LinearRegressionLoss, MultinomialLogisticLoss)
 
 
 @dataclass(frozen=True)
@@ -90,10 +86,9 @@ def sandwich(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
 
     J and I mix the labeled-sample and base-measure plug-ins with weights
     1/(1+gamma) and gamma/(1+gamma); the covariance carries the
-    1/(n (1 + gamma)) posterior scaling.
+    1/(n (1 + gamma)) posterior scaling.  Losses without a Hessian raise
+    CapabilityError.
     """
-    if not isinstance(loss, _SMOOTH_LOSSES):
-        raise CapabilityError("sandwich requires a twice-differentiable loss")
     j, i = _mixed_moments(labeled, base, loss, theta_hat, gamma)
     try:
         jinv = np.linalg.inv(j)
@@ -111,9 +106,7 @@ def sandwich(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
 def mixed_erm(labeled: LabeledSample, base: AtomicMeasure, loss: LossSpec, gamma: float):
     """Minimizer of P_n loss + gamma * P_base loss (the mixed target plug-in)."""
     if gamma == 0.0 or base is None:
-        problem = WeightedProblem(labeled.covariates, labeled.outcomes,
-                                  np.full(labeled.n, 1.0 / labeled.n), loss)
-        return solve_weighted(problem)
+        return labeled_erm(labeled, loss)
     covs = np.vstack([labeled.covariates, base.covariates])
     outs = Outcomes.concat(labeled.outcomes, base.outcomes)
     w = np.concatenate([np.full(labeled.n, 1.0 / labeled.n), gamma * base.weights])
@@ -134,8 +127,6 @@ def predict_centering_bias(labeled: LabeledSample, rectified_base: AtomicMeasure
     (gamma / (1 + gamma)) * J0^-1 * (P_n - P_base) g evaluated at the
     plug-in theta_tilde, with J0 the labeled-sample plug-in Hessian.
     """
-    if not isinstance(loss, _SMOOTH_LOSSES):
-        raise CapabilityError("bias prediction requires a twice-differentiable loss")
     j0 = mean_hessian(loss, theta_tilde, labeled.covariates, labeled.outcomes)
     disc = (mean_score(loss, theta_tilde, labeled.covariates, labeled.outcomes)
             - mean_score(loss, theta_tilde, rectified_base.covariates,
@@ -163,14 +154,13 @@ def classical_interval(labeled: LabeledSample, loss: LossSpec, level: float):
         half = norm.ppf(1.0 - beta / 2.0) * np.sqrt(np.diag(est.cov))
         return theta, np.column_stack([theta - half, theta + half])
     if isinstance(loss, QuantileLoss):
+        theta = labeled_erm(labeled, loss)
         y = np.sort(labeled.outcomes.values)
         n = y.size
-        point = weighted_quantile(labeled.outcomes.values, np.full(n, 1.0 / n), loss.tau)
         lo_idx = int(binom.ppf(beta / 2.0, n, loss.tau))
         hi_idx = int(binom.ppf(1.0 - beta / 2.0, n, loss.tau))
         lo_idx = int(np.clip(lo_idx, 0, n - 1))
         hi_idx = int(np.clip(hi_idx, 0, n - 1))
-        theta = np.array([point])
         return theta, np.array([[y[lo_idx], y[hi_idx]]])
     raise CapabilityError("classical interval supports Mean, LinearRegression, Quantile")
 

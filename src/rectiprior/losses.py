@@ -1,10 +1,12 @@
 """Loss families with scores and Hessians, plus weighted ERM solvers.
 
-Each loss family is a frozen spec dataclass.  Per-atom operations
-(`loss_value`, `score`, `hessian`) take a single covariate vector and
-outcome; vectorized helpers (`loss_values`, `scores`, `mean_score`,
-`mean_hessian`) operate on whole samples and are what the posterior engine
-and diagnostics consume.
+Each loss family is a frozen spec dataclass whose methods (`dim`, `values`,
+`scores`, `hessian`, `solve`) are the family's one implementation.  The
+module-level functions validate their inputs and delegate to the spec.
+Per-atom operations (`loss_value`, `score`, `hessian`) take a single
+covariate vector and outcome; vectorized helpers (`loss_values`, `scores`,
+`mean_score`, `mean_hessian`) operate on whole samples and are what the
+posterior engine and diagnostics consume.
 
 Parameter layouts (flat theta vectors):
   Mean, Quantile          -> (1,)
@@ -19,7 +21,6 @@ Parameter layouts (flat theta vectors):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import logsumexp, softmax
@@ -31,30 +32,119 @@ from .exceptions import (
     ParameterError,
     RankDeficiencyError,
 )
-from .measures import CLASS, REAL, Outcomes, RngStream
+from .measures import CLASS, REAL, Outcomes
+
+
+def _with_intercept(X):
+    return np.column_stack([np.ones(X.shape[0]), X])
+
+
+class LossSpec:
+    """Behaviour shared by every loss spec; the defaults suit a real-valued,
+    one-parameter loss with no Hessian.
+
+    Methods take a flat theta of length `dim(d_x)`, a 2-D covariate matrix
+    and outcomes of the spec's `kind`; `hessian` takes normalized weights.
+    """
+
+    kind = REAL
+
+    def dim(self, d_x):
+        return 1
+
+    def hessian(self, theta, X, w):
+        raise CapabilityError(f"hessian not available for {type(self).__name__}")
+
+    def logits(self, theta, X):
+        raise CapabilityError("class probabilities only defined for classification losses")
+
+
+class _Classifier(LossSpec):
+    """Cross-entropy on the spec's `logits`, shared by the classification losses."""
+
+    kind = CLASS
+
+    def values(self, theta, X, y):
+        z = self.logits(theta, X)
+        return logsumexp(z, axis=1) - z[np.arange(len(y)), y.values]
 
 
 @dataclass(frozen=True)
-class MeanLoss:
-    pass
+class MeanLoss(LossSpec):
+    def values(self, theta, X, y):
+        return 0.5 * (y.values - theta[0]) ** 2
+
+    def scores(self, theta, X, y):
+        return (theta[0] - y.values)[:, None]
+
+    def hessian(self, theta, X, w):
+        return np.array([[1.0]])
+
+    def solve(self, X, y, w):
+        return np.array([np.average(y.values, weights=w)])
 
 
 @dataclass(frozen=True)
-class QuantileLoss:
+class QuantileLoss(LossSpec):
     tau: float
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ParameterError("tau must lie strictly inside (0, 1)")
 
+    def values(self, theta, X, y):
+        r = y.values - theta[0]
+        return np.where(r > 0, self.tau * r, (self.tau - 1.0) * r)
+
+    def scores(self, theta, X, y):
+        """Subgradient g_q(y) = (1 - tau) 1{y <= q} - tau 1{y > q}.
+
+        Ties take the left branch, consistent with the weighted-quantile
+        solver's cumulative-weight rule.
+        """
+        g = np.where(y.values <= theta[0], 1.0 - self.tau, -self.tau)
+        return g[:, None]
+
+    def solve(self, X, y, w):
+        return np.array([weighted_quantile(y.values, w, self.tau)])
+
 
 @dataclass(frozen=True)
-class LinearRegressionLoss:
+class LinearRegressionLoss(LossSpec):
     intercept: bool = True
 
+    def dim(self, d_x):
+        return d_x + (1 if self.intercept else 0)
+
+    def _design(self, X):
+        return _with_intercept(X) if self.intercept else X
+
+    def values(self, theta, X, y):
+        r = y.values - self._design(X) @ theta
+        return 0.5 * r**2
+
+    def scores(self, theta, X, y):
+        D = self._design(X)
+        return D * (D @ theta - y.values)[:, None]
+
+    def hessian(self, theta, X, w):
+        D = self._design(X)
+        return (D * w[:, None]).T @ D
+
+    def solve(self, X, y, w):
+        D = self._design(X)
+        A = (D * w[:, None]).T @ D
+        b = D.T @ (w * y.values)
+        try:
+            c = np.linalg.cholesky(A + 0.0)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficiencyError("singular weighted normal equations") from exc
+        z = np.linalg.solve(c, b)
+        return np.linalg.solve(c.T, z)
+
 
 @dataclass(frozen=True)
-class MultinomialLogisticLoss:
+class MultinomialLogisticLoss(_Classifier):
     num_classes: int
     ridge: float = 1e-8
 
@@ -64,9 +154,27 @@ class MultinomialLogisticLoss:
         if self.ridge < 0:
             raise ParameterError("ridge must be nonnegative")
 
+    def dim(self, d_x):
+        return self.num_classes * (d_x + 1)
+
+    def logits(self, theta, X):
+        return _with_intercept(X) @ theta.reshape(self.num_classes, -1).T
+
+    def scores(self, theta, X, y):
+        resid = softmax(self.logits(theta, X), axis=1)
+        resid[np.arange(len(y)), y.values] -= 1.0
+        return np.einsum("ic,id->icd", resid, _with_intercept(X)).reshape(len(y), -1)
+
+    def hessian(self, theta, X, w):
+        return _logistic_hessian(_with_intercept(X), softmax(self.logits(theta, X), axis=1), w)
+
+    def solve(self, X, y, w):
+        return _solve_logistic(_with_intercept(X), y.values, w, self.num_classes,
+                               max(self.ridge, 1e-8))
+
 
 @dataclass(frozen=True)
-class MlpLoss:
+class MlpLoss(_Classifier):
     hidden: int
     num_classes: int
     epochs: int = 200
@@ -82,26 +190,82 @@ class MlpLoss:
         if not self.step > 0:
             raise ParameterError("step must be positive")
 
+    def dim(self, d_x):
+        return self.hidden * (d_x + 1) + self.num_classes * (self.hidden + 1)
 
-LossSpec = Union[MeanLoss, QuantileLoss, LinearRegressionLoss, MultinomialLogisticLoss, MlpLoss]
+    def _unpack(self, theta, d_x):
+        h, c = self.hidden, self.num_classes
+        i = 0
+        w1 = theta[i:i + h * d_x].reshape(h, d_x); i += h * d_x
+        b1 = theta[i:i + h]; i += h
+        w2 = theta[i:i + c * h].reshape(c, h); i += c * h
+        b2 = theta[i:i + c]
+        return w1, b1, w2, b2
 
-_SMOOTH = (MeanLoss, LinearRegressionLoss, MultinomialLogisticLoss)
+    def _forward(self, theta, X):
+        w1, b1, w2, b2 = self._unpack(theta, X.shape[1])
+        a = X @ w1.T + b1
+        hid = np.maximum(a, 0.0)
+        z = hid @ w2.T + b2
+        return a, hid, z
+
+    def logits(self, theta, X):
+        return self._forward(theta, X)[2]
+
+    def scores(self, theta, X, y, w=None):
+        """Per-atom scores, one row per atom, or with weights w their weighted sum."""
+        n = X.shape[0]
+        _, _, w2, _ = self._unpack(theta, X.shape[1])
+        a, hid, z = self._forward(theta, X)
+        dz = softmax(z, axis=1)
+        dz[np.arange(n), y.values] -= 1.0
+        mask = (a > 0).astype(float)
+        if w is None:
+            dhid = (dz @ w2) * mask
+            gw1 = np.einsum("ih,id->ihd", dhid, X).reshape(n, -1)
+            gw2 = np.einsum("ic,ih->ich", dz, hid).reshape(n, -1)
+            return np.concatenate([gw1, dhid, gw2, dz], axis=1)
+        dz = dz * w[:, None]
+        gw2 = dz.T @ hid
+        gb2 = dz.sum(axis=0)
+        dhid = (dz @ w2) * mask
+        gw1 = dhid.T @ X
+        gb1 = dhid.sum(axis=0)
+        return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+
+    def _init(self, d_x):
+        """Symmetric uniform fan-in initialization, fully determined by seed."""
+        gen = np.random.default_rng(self.seed)
+        h, c = self.hidden, self.num_classes
+        w1 = gen.uniform(-1, 1, size=(h, d_x)) / np.sqrt(max(d_x, 1))
+        b1 = np.zeros(h)
+        w2 = gen.uniform(-1, 1, size=(c, h)) / np.sqrt(h)
+        b2 = np.zeros(c)
+        return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
+
+    def solve(self, X, y, w):
+        w = w / w.sum()
+        theta = self._init(X.shape[1])
+        b1, b2 = self.adam_betas
+        eps = 1e-8
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
+        for t in range(1, self.epochs + 1):
+            g = self.scores(theta, X, y, w)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            mhat = m / (1 - b1**t)
+            vhat = v / (1 - b2**t)
+            theta = theta - self.step * mhat / (np.sqrt(vhat) + eps)
+        return theta
 
 
 def theta_dim(spec: LossSpec, d_x: int) -> int:
-    if isinstance(spec, (MeanLoss, QuantileLoss)):
-        return 1
-    if isinstance(spec, LinearRegressionLoss):
-        return d_x + (1 if spec.intercept else 0)
-    if isinstance(spec, MultinomialLogisticLoss):
-        return spec.num_classes * (d_x + 1)
-    if isinstance(spec, MlpLoss):
-        return spec.hidden * (d_x + 1) + spec.num_classes * (spec.hidden + 1)
-    raise CapabilityError(f"unknown loss spec {spec!r}")
+    return spec.dim(d_x)
 
 
 def is_classification(spec: LossSpec) -> bool:
-    return isinstance(spec, (MultinomialLogisticLoss, MlpLoss))
+    return spec.kind == CLASS
 
 
 def _check_theta(spec, theta, d_x):
@@ -112,49 +276,16 @@ def _check_theta(spec, theta, d_x):
     return theta
 
 
-def _design(spec: LinearRegressionLoss, X):
-    if spec.intercept:
-        return np.column_stack([np.ones(X.shape[0]), X])
-    return X
-
-
-def _mlp_unpack(spec: MlpLoss, theta, d_x):
-    h, c = spec.hidden, spec.num_classes
-    i = 0
-    w1 = theta[i:i + h * d_x].reshape(h, d_x); i += h * d_x
-    b1 = theta[i:i + h]; i += h
-    w2 = theta[i:i + c * h].reshape(c, h); i += c * h
-    b2 = theta[i:i + c]
-    return w1, b1, w2, b2
-
-
-def _mlp_forward(spec, theta, X):
-    w1, b1, w2, b2 = _mlp_unpack(spec, theta, X.shape[1])
-    a = X @ w1.T + b1
-    hid = np.maximum(a, 0.0)
-    z = hid @ w2.T + b2
-    return a, hid, z
-
-
-def mlp_predict_probs(spec: MlpLoss, theta, X) -> np.ndarray:
-    theta = _check_theta(spec, theta, X.shape[1])
-    _, _, z = _mlp_forward(spec, theta, X)
-    return softmax(z, axis=1)
-
-
-def logistic_predict_probs(spec: MultinomialLogisticLoss, theta, X) -> np.ndarray:
-    theta = _check_theta(spec, theta, X.shape[1])
-    coef = theta.reshape(spec.num_classes, X.shape[1] + 1)
-    z = np.column_stack([np.ones(X.shape[0]), X]) @ coef.T
-    return softmax(z, axis=1)
+def _need(y: Outcomes, spec: LossSpec):
+    if y.kind != spec.kind:
+        raise OutcomeTypeError(f"loss requires {spec.kind} outcomes, got {y.kind}")
+    if spec.kind == CLASS and y.num_classes != spec.num_classes:
+        raise OutcomeTypeError("num_classes mismatch between loss and outcomes")
 
 
 def predict_probs(spec: LossSpec, theta, X) -> np.ndarray:
-    if isinstance(spec, MultinomialLogisticLoss):
-        return logistic_predict_probs(spec, theta, X)
-    if isinstance(spec, MlpLoss):
-        return mlp_predict_probs(spec, theta, X)
-    raise CapabilityError("class probabilities only defined for classification losses")
+    theta = _check_theta(spec, theta, X.shape[1])
+    return softmax(spec.logits(theta, X), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,91 +296,16 @@ def loss_values(spec: LossSpec, theta, X, y: Outcomes) -> np.ndarray:
     """Per-atom loss values for a whole sample."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     theta = _check_theta(spec, theta, X.shape[1])
-    if isinstance(spec, MeanLoss):
-        _need(y, REAL)
-        return 0.5 * (y.values - theta[0]) ** 2
-    if isinstance(spec, QuantileLoss):
-        _need(y, REAL)
-        r = y.values - theta[0]
-        return np.where(r > 0, spec.tau * r, (spec.tau - 1.0) * r)
-    if isinstance(spec, LinearRegressionLoss):
-        _need(y, REAL)
-        r = y.values - _design(spec, X) @ theta
-        return 0.5 * r**2
-    if isinstance(spec, MultinomialLogisticLoss):
-        _need(y, CLASS, spec.num_classes)
-        z = np.column_stack([np.ones(X.shape[0]), X]) @ theta.reshape(spec.num_classes, -1).T
-        return logsumexp(z, axis=1) - z[np.arange(len(y)), y.values]
-    if isinstance(spec, MlpLoss):
-        _need(y, CLASS, spec.num_classes)
-        _, _, z = _mlp_forward(spec, theta, X)
-        return logsumexp(z, axis=1) - z[np.arange(len(y)), y.values]
-    raise CapabilityError(f"unknown loss spec {spec!r}")
-
-
-def _need(y: Outcomes, kind, num_classes=None):
-    if y.kind != kind:
-        raise OutcomeTypeError(f"loss requires {kind} outcomes, got {y.kind}")
-    if num_classes is not None and y.num_classes != num_classes:
-        raise OutcomeTypeError("num_classes mismatch between loss and outcomes")
+    _need(y, spec)
+    return spec.values(theta, X, y)
 
 
 def scores(spec: LossSpec, theta, X, y: Outcomes) -> np.ndarray:
-    """Per-atom score vectors, one row per atom.
-
-    The check loss uses the subgradient convention
-    g_q(y) = (1 - tau) 1{y <= q} - tau 1{y > q}, with ties on the left
-    branch, consistent with the weighted-quantile solver's cumulative-weight
-    rule.
-    """
+    """Per-atom score vectors, one row per atom (a subgradient for the check loss)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     theta = _check_theta(spec, theta, X.shape[1])
-    if isinstance(spec, MeanLoss):
-        _need(y, REAL)
-        return (theta[0] - y.values)[:, None]
-    if isinstance(spec, QuantileLoss):
-        _need(y, REAL)
-        g = np.where(y.values <= theta[0], 1.0 - spec.tau, -spec.tau)
-        return g[:, None]
-    if isinstance(spec, LinearRegressionLoss):
-        _need(y, REAL)
-        D = _design(spec, X)
-        return D * (D @ theta - y.values)[:, None]
-    if isinstance(spec, MultinomialLogisticLoss):
-        _need(y, CLASS, spec.num_classes)
-        f = np.column_stack([np.ones(X.shape[0]), X])
-        p = softmax(f @ theta.reshape(spec.num_classes, -1).T, axis=1)
-        resid = p.copy()
-        resid[np.arange(len(y)), y.values] -= 1.0
-        return np.einsum("ic,id->icd", resid, f).reshape(len(y), -1)
-    if isinstance(spec, MlpLoss):
-        _need(y, CLASS, spec.num_classes)
-        return _mlp_grads(spec, theta, X, y, per_atom=True)
-    raise CapabilityError(f"unknown loss spec {spec!r}")
-
-
-def _mlp_grads(spec, theta, X, y, weights=None, per_atom=False):
-    n = X.shape[0]
-    w1, b1, w2, b2 = _mlp_unpack(spec, theta, X.shape[1])
-    a, hid, z = _mlp_forward(spec, theta, X)
-    p = softmax(z, axis=1)
-    dz = p.copy()
-    dz[np.arange(n), y.values] -= 1.0
-    mask = (a > 0).astype(float)
-    if per_atom:
-        dhid = (dz @ w2) * mask
-        gw1 = np.einsum("ih,id->ihd", dhid, X).reshape(n, -1)
-        gw2 = np.einsum("ic,ih->ich", dz, hid).reshape(n, -1)
-        return np.concatenate([gw1, dhid, gw2, dz], axis=1)
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    dz = dz * weights[:, None]
-    gw2 = dz.T @ hid
-    gb2 = dz.sum(axis=0)
-    dhid = (dz @ w2) * mask
-    gw1 = dhid.T @ X
-    gb1 = dhid.sum(axis=0)
-    return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+    _need(y, spec)
+    return spec.scores(theta, X, y)
 
 
 def mean_score(spec: LossSpec, theta, X, y: Outcomes, weights=None) -> np.ndarray:
@@ -260,31 +316,26 @@ def mean_score(spec: LossSpec, theta, X, y: Outcomes, weights=None) -> np.ndarra
     return w @ s / w.sum()
 
 
+def _logistic_hessian(f, p, w):
+    """sum_i w_i (diag(p_i) - p_i p_i^T) kron f_i f_i^T for features f and probabilities p."""
+    c = p.shape[1]
+    s = -np.einsum("i,ia,ic->iac", w, p, p)
+    eye = np.arange(c)
+    s[:, eye, eye] += w[:, None] * p
+    d = c * f.shape[1]
+    return np.einsum("iac,ib,id->abcd", s, f, f).reshape(d, d)
+
+
 def mean_hessian(spec: LossSpec, theta, X, y: Outcomes, weights=None) -> np.ndarray:
     """Weighted mean of per-atom Hessians; smooth losses only."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     theta = _check_theta(spec, theta, X.shape[1])
-    n = X.shape[0]
     if weights is None:
-        w = np.full(n, 1.0 / n)
+        w = np.full(X.shape[0], 1.0 / X.shape[0])
     else:
         w = np.asarray(weights, dtype=float)
         w = w / w.sum()
-    if isinstance(spec, MeanLoss):
-        return np.array([[1.0]])
-    if isinstance(spec, LinearRegressionLoss):
-        D = _design(spec, X)
-        return (D * w[:, None]).T @ D
-    if isinstance(spec, MultinomialLogisticLoss):
-        f = np.column_stack([np.ones(n), X])
-        p = softmax(f @ theta.reshape(spec.num_classes, -1).T, axis=1)
-        s = np.einsum("i,iac->iac", w, -np.einsum("ia,ic->iac", p, p))
-        diag = np.arange(spec.num_classes)
-        s[:, diag, diag] += w[:, None] * p
-        h = np.einsum("iac,ib,id->abcd", s, f, f)
-        d = theta.size
-        return h.reshape(d, d)
-    raise CapabilityError(f"hessian not available for {type(spec).__name__}")
+    return spec.hessian(theta, X, w)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +344,7 @@ def mean_hessian(spec: LossSpec, theta, X, y: Outcomes, weights=None) -> np.ndar
 
 def _one(y_scalar, spec):
     if is_classification(spec):
-        return Outcomes.classes([int(y_scalar)], spec.num_classes if not isinstance(spec, MlpLoss) else spec.num_classes)
+        return Outcomes.classes([int(y_scalar)], spec.num_classes)
     return Outcomes.real([float(y_scalar)])
 
 
@@ -358,7 +409,7 @@ _NEWTON_CAP = 100
 _NEWTON_TOL = 1e-8
 
 
-def _solve_logistic(f, labels, w, num_classes, ridge, theta0=None):
+def _solve_logistic(f, labels, w, num_classes, ridge):
     """Damped Newton on ridge-regularized weighted cross-entropy.
 
     f is the feature matrix (intercept column included by the caller);
@@ -367,8 +418,7 @@ def _solve_logistic(f, labels, w, num_classes, ridge, theta0=None):
     w = w / w.sum()
     n, df = f.shape
     d = num_classes * df
-    theta = np.zeros(d) if theta0 is None else np.array(theta0, dtype=float)
-    eye = np.arange(num_classes)
+    theta = np.zeros(d)
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), labels] = 1.0
 
@@ -377,16 +427,17 @@ def _solve_logistic(f, labels, w, num_classes, ridge, theta0=None):
         return float(w @ (logsumexp(z, axis=1) - z[np.arange(n), labels]) + 0.5 * ridge * t @ t)
 
     obj = objective(theta)
-    for _ in range(_NEWTON_CAP):
+    for it in range(_NEWTON_CAP + 1):
         z = f @ theta.reshape(num_classes, df).T
         p = softmax(z, axis=1)
         grad = np.einsum("ic,id->cd", w[:, None] * (p - onehot), f).ravel() + ridge * theta
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= _NEWTON_TOL:
-            return theta, gnorm
-        s = -np.einsum("i,ia,ic->iac", w, p, p)
-        s[:, eye, eye] += w[:, None] * p
-        hess = np.einsum("iac,ib,id->abcd", s, f, f).reshape(d, d)
+            return theta
+        if it == _NEWTON_CAP:
+            raise ConvergenceError(f"logistic solver stalled at gradient norm {gnorm:.3e}",
+                                   grad_norm=gnorm)
+        hess = _logistic_hessian(f, p, w)
         hess[np.diag_indices(d)] += ridge
         try:
             step = np.linalg.solve(hess + 1e-12 * np.eye(d), -grad)
@@ -402,77 +453,15 @@ def _solve_logistic(f, labels, w, num_classes, ridge, theta0=None):
             t *= 0.5
         else:
             raise ConvergenceError("line search failed in logistic solve", grad_norm=gnorm)
-    z = f @ theta.reshape(num_classes, df).T
-    p = softmax(z, axis=1)
-    grad = np.einsum("ic,id->cd", w[:, None] * (p - onehot), f).ravel() + ridge * theta
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm <= _NEWTON_TOL:
-        return theta, gnorm
-    raise ConvergenceError(f"logistic solver stalled at gradient norm {gnorm:.3e}", grad_norm=gnorm)
 
 
-def _mlp_init(spec: MlpLoss, d_x: int) -> np.ndarray:
-    """Symmetric uniform fan-in initialization, fully determined by spec.seed."""
-    gen = np.random.default_rng(spec.seed)
-    h, c = spec.hidden, spec.num_classes
-    w1 = gen.uniform(-1, 1, size=(h, d_x)) / np.sqrt(max(d_x, 1))
-    b1 = np.zeros(h)
-    w2 = gen.uniform(-1, 1, size=(c, h)) / np.sqrt(h)
-    b2 = np.zeros(c)
-    return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
-
-
-def _solve_mlp(spec: MlpLoss, X, y, w):
-    w = w / w.sum()
-    theta = _mlp_init(spec, X.shape[1])
-    b1, b2 = spec.adam_betas
-    eps = 1e-8
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    for t in range(1, spec.epochs + 1):
-        g = _mlp_grads(spec, theta, X, y, weights=w)
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        theta = theta - spec.step * mhat / (np.sqrt(vhat) + eps)
-    return theta
-
-
-def solve_weighted(problem: WeightedProblem, rng: RngStream | None = None):
-    """Minimize the weighted empirical risk for the problem's loss family.
+def solve_weighted(problem: WeightedProblem):
+    """Minimize the weighted empirical risk with the problem's loss family.
 
     Mean and LinearRegression solve in closed form; Quantile is exact over
     atom values; MultinomialLogistic runs damped Newton to gradient norm
     1e-8; Mlp runs the configured full-batch Adam schedule from its
     seed-determined initialization (a stationary-point approximation).
     """
-    spec = problem.loss
-    X, y, w = problem.covariates, problem.outcomes, problem.weights
-    if isinstance(spec, MeanLoss):
-        _need(y, REAL)
-        return np.array([np.average(y.values, weights=w)])
-    if isinstance(spec, QuantileLoss):
-        _need(y, REAL)
-        return np.array([weighted_quantile(y.values, w, spec.tau)])
-    if isinstance(spec, LinearRegressionLoss):
-        _need(y, REAL)
-        D = _design(spec, X)
-        A = (D * w[:, None]).T @ D
-        b = D.T @ (w * y.values)
-        try:
-            c = np.linalg.cholesky(A + 0.0)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError("singular weighted normal equations") from exc
-        z = np.linalg.solve(c, b)
-        return np.linalg.solve(c.T, z)
-    if isinstance(spec, MultinomialLogisticLoss):
-        _need(y, CLASS, spec.num_classes)
-        f = np.column_stack([np.ones(X.shape[0]), X])
-        ridge = max(spec.ridge, 1e-8)
-        theta, _ = _solve_logistic(f, y.values, w, spec.num_classes, ridge)
-        return theta
-    if isinstance(spec, MlpLoss):
-        _need(y, CLASS, spec.num_classes)
-        return _solve_mlp(spec, X, y, w)
-    raise CapabilityError(f"unknown loss spec {spec!r}")
+    _need(problem.outcomes, problem.loss)
+    return problem.loss.solve(problem.covariates, problem.outcomes, problem.weights)

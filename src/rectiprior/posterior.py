@@ -8,12 +8,12 @@ yields identical output because no draw shares mutable state.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
 
-from .exceptions import ParameterError, RectipriorError
+from .exceptions import ConvergenceError, ParameterError, RankDeficiencyError, RectipriorError
 from .losses import LossSpec, WeightedProblem, is_classification, predict_probs, solve_weighted
 from .measures import (
     PROBS,
@@ -21,7 +21,6 @@ from .measures import (
     LabeledSample,
     Outcomes,
     RngStream,
-    empirical_measure,
     realize_class_labels,
     sample_dirichlet_weights,
     sample_uniform_dirichlet,
@@ -103,7 +102,7 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     if config.gamma == 0.0:
         w = sample_uniform_dirichlet(labeled.n, rng.child(2))
         problem = WeightedProblem(labeled.covariates, labeled.outcomes, w, loss)
-        return solve_weighted(problem, rng.child(3))
+        return solve_weighted(problem)
 
     if base is None:
         raise ParameterError("base measure required when gamma > 0")
@@ -120,7 +119,7 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     weights = np.concatenate([dw.labeled_w, dw.base_w * rect.weights * k])
     weights = np.maximum(weights, np.finfo(float).tiny)
     problem = WeightedProblem(covs, outs, weights, loss)
-    return solve_weighted(problem, rng.child(3))
+    return solve_weighted(problem)
 
 
 def run_posterior(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
@@ -129,7 +128,9 @@ def run_posterior(labeled: LabeledSample, base: AtomicMeasure | None, loss: Loss
 
     Under the Fixed strategy the rectifier is fit once and reused; Split and
     Npb refit per draw so rectifier uncertainty propagates into the
-    posterior.  Runs with more than 5% failed draws abort.
+    posterior.  A draw fails on a numerical error (rank deficiency or
+    non-convergence); runs with more than 5% failed draws abort.  Any other
+    error recurs on every draw and is raised at once.
     """
     prefit = None
     if config.gamma > 0 and isinstance(config.strategy, Fixed):
@@ -138,7 +139,7 @@ def run_posterior(labeled: LabeledSample, base: AtomicMeasure | None, loss: Loss
     def one(b):
         try:
             return posterior_draw(labeled, base, loss, config, b, prefit=prefit), "ok"
-        except RectipriorError as exc:
+        except (RankDeficiencyError, ConvergenceError) as exc:
             return None, f"draw {b}: {exc}"
 
     if config.threads > 1:
@@ -167,9 +168,7 @@ def posterior_predict_class(run: PosteriorRun, loss: LossSpec, x) -> int:
     """Argmax of the mean predicted class probabilities across posterior draws."""
     if not is_classification(loss):
         raise ParameterError("posterior class prediction needs a classification loss")
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    mean_p = np.mean([predict_probs(loss, theta, X)[0] for theta in run.samples], axis=0)
-    return int(np.argmax(mean_p))
+    return int(posterior_predict_class_batch(run, loss, x)[0])
 
 
 def posterior_predict_class_batch(run: PosteriorRun, loss: LossSpec, X) -> np.ndarray:
@@ -184,8 +183,6 @@ def posterior_predict_class_batch(run: PosteriorRun, loss: LossSpec, X) -> np.nd
 
 _FORMAT_TAG = "rectiprior-posterior-v1"
 
-_STRATEGY_TAGS = {"Fixed": "fixed", "Split": "split", "Npb": "npb"}
-
 
 def _vec(a):
     return " ".join(repr(float(v)) for v in np.asarray(a, dtype=float).ravel())
@@ -196,8 +193,7 @@ def serialize_run(run: PosteriorRun) -> str:
     cfg = run.config
     out.write(_FORMAT_TAG + "\n")
     out.write(f"config gamma={cfg.gamma!r} draws={cfg.draws} level={cfg.level!r} "
-              f"strategy={_STRATEGY_TAGS[type(cfg.strategy).__name__]} "
-              f"rectifier={type(cfg.rectifier).__name__.lower()} seed={cfg.seed}\n")
+              f"strategy={cfg.strategy.tag} rectifier={cfg.rectifier.tag} seed={cfg.seed}\n")
     i = 0
     for b, status in enumerate(run.statuses):
         if status == "ok":

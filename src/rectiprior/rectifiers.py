@@ -2,16 +2,20 @@
 
 A rectifier is a map on atomic measures that transforms outcomes atom by
 atom, leaving covariates and weights untouched.  Fitting uses a labeled
-calibration sample; application targets the AI base measure.
+calibration sample; application targets the AI base measure.  Each
+rectifier family is a frozen spec dataclass whose `fit` and `apply` methods
+are its one implementation, and each calibration strategy's `split` method
+builds its (calibration, inference) pair.  `RECTIFIERS` and `STRATEGIES`
+map every spec's text `tag` to its class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 from scipy.special import softmax
 
 from .exceptions import OutcomeTypeError, ParameterError
@@ -28,35 +32,98 @@ from .measures import (
 )
 
 
-@dataclass(frozen=True)
-class Identity:
-    pass
+class RectifierSpec:
+    """Behaviour shared by every rectifier spec."""
+
+    def load_state(self, arrays: dict) -> dict:
+        """Fitted state from the flat arrays of its serialized form."""
+        return arrays
+
+
+class _RealMap(RectifierSpec):
+    """Rectifiers that send each real base outcome y to `_map(state, y)`."""
+
+    def apply(self, state, base: AtomicMeasure) -> AtomicMeasure:
+        return base.with_outcomes(Outcomes.real(self._map(state, _base_real_values(base))))
+
+
+class _MomentMap(_RealMap):
+    """Real maps whose fitted state is a few scalars."""
+
+    def load_state(self, arrays):
+        return {key: float(a[0]) for key, a in arrays.items()}
 
 
 @dataclass(frozen=True)
-class QuantileMap:
-    pass
+class Identity(RectifierSpec):
+    tag = "identity"
+
+    def fit(self, calib, base):
+        return FittedRectifier(self, {})
+
+    def apply(self, state, base):
+        return base
 
 
 @dataclass(frozen=True)
-class Isotonic:
-    pass
+class QuantileMap(_RealMap):
+    tag = "quantile-map"
+
+    def fit(self, calib, base):
+        true, imputed = _paired_real(calib)
+        return fit_quantile_map(true, imputed)
+
+    def _map(self, state, y):
+        grid_i, grid_t = state["imputed_grid"], state["true_grid"]
+        m = grid_i.size
+        j = np.searchsorted(grid_i, y, side="right")
+        return grid_t[np.clip(j, 1, m) - 1]
 
 
 @dataclass(frozen=True)
-class MomentShift:
-    pass
+class Isotonic(_RealMap):
+    tag = "isotonic"
+
+    def fit(self, calib, base):
+        true, imputed = _paired_real(calib)
+        return fit_isotonic(imputed, true)
+
+    def _map(self, state, y):
+        knots, fitted = state["knots"], state["fitted"]
+        if knots.size == 1:
+            return np.full(np.shape(y), fitted[0])
+        mids = 0.5 * (knots[:-1] + knots[1:])
+        idx = np.searchsorted(mids, y, side="left")
+        return fitted[idx]
 
 
 @dataclass(frozen=True)
-class MomentAffine:
-    pass
+class MomentShift(_MomentMap):
+    tag = "moment-shift"
+
+    def fit(self, calib, base):
+        return fit_moment_shift(calib, base)
+
+    def _map(self, state, y):
+        return y + state["shift"]
 
 
 @dataclass(frozen=True)
-class ProbRecalib:
+class MomentAffine(_MomentMap):
+    tag = "moment-affine"
+
+    def fit(self, calib, base):
+        return fit_moment_affine(calib, base)
+
+    def _map(self, state, y):
+        return state["a"] + state["b"] * y
+
+
+@dataclass(frozen=True)
+class ProbRecalib(RectifierSpec):
     ridge: float = 1e-4
     clamp: float = 1e-6
+    tag = "prob-recalib"
 
     def __post_init__(self):
         if not 0.0 < self.clamp <= 1e-2:
@@ -64,30 +131,62 @@ class ProbRecalib:
         if self.ridge < 0:
             raise ParameterError("ridge must be nonnegative")
 
+    def fit(self, calib, base):
+        return fit_prob_recalib(calib, self)
 
-RectifierSpec = Union[Identity, QuantileMap, Isotonic, MomentShift, MomentAffine, ProbRecalib]
+    def apply(self, state, base):
+        if base.outcomes.kind != PROBS:
+            raise OutcomeTypeError("probability recalibration requires probability outcomes")
+        feats = np.column_stack([clamp_log_probs(base.outcomes.values, self.clamp), base.covariates])
+        z = feats @ state["W"].T + state["b"]
+        return base.with_outcomes(Outcomes.probs(softmax(z, axis=1)))
+
+    def load_state(self, arrays):
+        b = arrays["b"]
+        return {"W": arrays["W"].reshape(b.size, -1), "b": b}
+
+
+class CalibrationStrategy:
+    """Builds a draw's (calibration, inference) pair with `split`."""
 
 
 @dataclass(frozen=True)
-class Fixed:
-    pass
+class Fixed(CalibrationStrategy):
+    tag = "fixed"
+
+    def split(self, labeled, rng):
+        return labeled, labeled
 
 
 @dataclass(frozen=True)
-class Split:
+class Split(CalibrationStrategy):
     fraction: float = 0.5
+    tag = "split"
 
     def __post_init__(self):
         if not 0.0 < self.fraction < 1.0:
             raise ParameterError("split fraction must lie in (0, 1)")
 
+    def split(self, labeled, rng):
+        n = labeled.n
+        n_cal = math.ceil(self.fraction * n)
+        if n_cal == 0 or n_cal == n:
+            raise ParameterError("split leaves an empty part")
+        perm = rng.generator().permutation(n)
+        return labeled.take(perm[:n_cal]), labeled.take(perm[n_cal:])
+
 
 @dataclass(frozen=True)
-class Npb:
-    pass
+class Npb(CalibrationStrategy):
+    tag = "npb"
+
+    def split(self, labeled, rng):
+        return resample_nonparametric_bootstrap(labeled, rng), labeled
 
 
-CalibrationStrategy = Union[Fixed, Split, Npb]
+RECTIFIERS = {cls.tag: cls for cls in
+              (Identity, QuantileMap, Isotonic, MomentShift, MomentAffine, ProbRecalib)}
+STRATEGIES = {cls.tag: cls for cls in (Fixed, Split, Npb)}
 
 
 @dataclass(frozen=True)
@@ -104,18 +203,7 @@ def make_calibration_sample(labeled: LabeledSample, strategy: CalibrationStrateg
     at random; Npb calibrates on a nonparametric bootstrap resample while
     keeping the full sample for inference.
     """
-    if isinstance(strategy, Fixed):
-        return labeled, labeled
-    if isinstance(strategy, Split):
-        n = labeled.n
-        n_cal = math.ceil(strategy.fraction * n)
-        if n_cal == 0 or n_cal == n:
-            raise ParameterError("split leaves an empty part")
-        perm = rng.generator().permutation(n)
-        return labeled.take(perm[:n_cal]), labeled.take(perm[n_cal:])
-    if isinstance(strategy, Npb):
-        return resample_nonparametric_bootstrap(labeled, rng), labeled
-    raise ParameterError(f"unknown strategy {strategy!r}")
+    return strategy.split(labeled, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -137,31 +225,9 @@ def fit_quantile_map(calib_true, calib_imputed) -> FittedRectifier:
     return FittedRectifier(QuantileMap(), {"imputed_grid": i, "true_grid": t})
 
 
-def _apply_quantile_map(state, y):
-    grid_i, grid_t = state["imputed_grid"], state["true_grid"]
-    m = grid_i.size
-    j = np.searchsorted(grid_i, y, side="right")
-    return grid_t[np.clip(j, 1, m) - 1]
-
-
 def pava(values, weights) -> np.ndarray:
-    """Weighted least-squares isotonic fit by pool-adjacent-violators."""
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    level_val = []
-    level_w = []
-    level_len = []
-    for v, w in zip(values, weights):
-        level_val.append(v)
-        level_w.append(w)
-        level_len.append(1)
-        while len(level_val) > 1 and level_val[-2] > level_val[-1] + 0.0:
-            v2, w2, n2 = level_val.pop(), level_w.pop(), level_len.pop()
-            v1, w1, n1 = level_val.pop(), level_w.pop(), level_len.pop()
-            level_val.append((w1 * v1 + w2 * v2) / (w1 + w2))
-            level_w.append(w1 + w2)
-            level_len.append(n1 + n2)
-    return np.repeat(level_val, level_len)
+    """Weighted least-squares nondecreasing fit (pool-adjacent-violators)."""
+    return isotonic_regression(values, weights=weights).x
 
 
 def fit_isotonic(calib_imputed, calib_true) -> FittedRectifier:
@@ -181,15 +247,6 @@ def fit_isotonic(calib_imputed, calib_true) -> FittedRectifier:
     np.add.at(sums, inverse, y)
     fitted = pava(sums / counts, counts.astype(float))
     return FittedRectifier(Isotonic(), {"knots": knots, "fitted": fitted})
-
-
-def _apply_isotonic(state, y):
-    knots, fitted = state["knots"], state["fitted"]
-    if knots.size == 1:
-        return np.full(np.shape(y), fitted[0])
-    mids = 0.5 * (knots[:-1] + knots[1:])
-    idx = np.searchsorted(mids, y, side="left")
-    return fitted[idx]
 
 
 def _base_real_values(base: AtomicMeasure):
@@ -258,35 +315,14 @@ def fit_prob_recalib(calib: LabeledSample, spec: ProbRecalib) -> FittedRectifier
     feats = np.column_stack([clamp_log_probs(calib.imputed.values, spec.clamp), calib.covariates])
     f = np.column_stack([np.ones(calib.n), feats])
     ridge = max(spec.ridge, 1e-8)
-    theta, _ = _solve_logistic(f, calib.outcomes.values, np.ones(calib.n), c, ridge)
+    theta = _solve_logistic(f, calib.outcomes.values, np.ones(calib.n), c, ridge)
     coef = theta.reshape(c, -1)
     return FittedRectifier(spec, {"W": coef[:, 1:], "b": coef[:, 0]})
 
 
-def _apply_prob_recalib(spec: ProbRecalib, state, base: AtomicMeasure):
-    if base.outcomes.kind != PROBS:
-        raise OutcomeTypeError("probability recalibration requires probability outcomes")
-    feats = np.column_stack([clamp_log_probs(base.outcomes.values, spec.clamp), base.covariates])
-    z = feats @ state["W"].T + state["b"]
-    return Outcomes.probs(softmax(z, axis=1))
-
-
 def apply_rectifier(r: FittedRectifier, base: AtomicMeasure) -> AtomicMeasure:
     """Transform every atom's outcome; covariates and weights are unchanged."""
-    spec = r.spec
-    if isinstance(spec, Identity):
-        return base
-    if isinstance(spec, QuantileMap):
-        return base.with_outcomes(Outcomes.real(_apply_quantile_map(r.state, _base_real_values(base))))
-    if isinstance(spec, Isotonic):
-        return base.with_outcomes(Outcomes.real(_apply_isotonic(r.state, _base_real_values(base))))
-    if isinstance(spec, MomentShift):
-        return base.with_outcomes(Outcomes.real(_base_real_values(base) + r.state["shift"]))
-    if isinstance(spec, MomentAffine):
-        return base.with_outcomes(Outcomes.real(r.state["a"] + r.state["b"] * _base_real_values(base)))
-    if isinstance(spec, ProbRecalib):
-        return base.with_outcomes(_apply_prob_recalib(spec, r.state, base))
-    raise ParameterError(f"unknown rectifier spec {spec!r}")
+    return r.spec.apply(r.state, base)
 
 
 def _paired_real(calib: LabeledSample):
@@ -298,22 +334,8 @@ def _paired_real(calib: LabeledSample):
 
 
 def fit_rectifier(spec: RectifierSpec, calib: LabeledSample, base: AtomicMeasure) -> FittedRectifier:
-    """Dispatch fitting of any rectifier family on a calibration sample."""
-    if isinstance(spec, Identity):
-        return FittedRectifier(spec, {})
-    if isinstance(spec, QuantileMap):
-        true, imputed = _paired_real(calib)
-        return fit_quantile_map(true, imputed)
-    if isinstance(spec, Isotonic):
-        true, imputed = _paired_real(calib)
-        return fit_isotonic(imputed, true)
-    if isinstance(spec, MomentShift):
-        return fit_moment_shift(calib, base)
-    if isinstance(spec, MomentAffine):
-        return fit_moment_affine(calib, base)
-    if isinstance(spec, ProbRecalib):
-        return fit_prob_recalib(calib, spec)
-    raise ParameterError(f"unknown rectifier spec {spec!r}")
+    """Fit any rectifier family on a calibration sample."""
+    return spec.fit(calib, base)
 
 
 def score_discrepancy(base: AtomicMeasure, reference: AtomicMeasure,
@@ -330,28 +352,15 @@ def score_discrepancy(base: AtomicMeasure, reference: AtomicMeasure,
 
 _FORMAT_TAG = "rectiprior-rectifier-v1"
 
-_SPEC_TAGS = {
-    Identity: "identity",
-    QuantileMap: "quantile-map",
-    Isotonic: "isotonic",
-    MomentShift: "moment-shift",
-    MomentAffine: "moment-affine",
-    ProbRecalib: "prob-recalib",
-}
-
 
 def _fmt_array(a):
     return ",".join(repr(float(v)) for v in np.asarray(a, dtype=float).ravel())
 
 
 def serialize_rectifier(r: FittedRectifier) -> str:
-    lines = [_FORMAT_TAG, f"spec = {_SPEC_TAGS[type(r.spec)]}"]
-    if isinstance(r.spec, ProbRecalib):
-        lines.append(f"ridge = {r.spec.ridge!r}")
-        lines.append(f"clamp = {r.spec.clamp!r}")
-        lines.append(f"num_classes = {r.state['W'].shape[0]}")
-    for key in sorted(r.state):
-        lines.append(f"{key} = {_fmt_array(r.state[key])}")
+    lines = [_FORMAT_TAG, f"spec = {r.spec.tag}"]
+    lines += [f"{f.name} = {getattr(r.spec, f.name)!r}" for f in fields(r.spec)]
+    lines += [f"{key} = {_fmt_array(r.state[key])}" for key in sorted(r.state)]
     return "\n".join(lines) + "\n"
 
 
@@ -359,25 +368,14 @@ def parse_rectifier(text: str) -> FittedRectifier:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _FORMAT_TAG:
         raise ParameterError("unrecognized rectifier document format")
-    fields = {}
+    values = {}
     for ln in lines[1:]:
         key, _, value = ln.partition("=")
-        fields[key.strip()] = value.strip()
-    tag = fields.pop("spec")
-    by_tag = {v: k for k, v in _SPEC_TAGS.items()}
-    if tag not in by_tag:
+        values[key.strip()] = value.strip()
+    tag = values.pop("spec")
+    if tag not in RECTIFIERS:
         raise ParameterError(f"unknown rectifier tag {tag!r}")
-    cls = by_tag[tag]
-    if cls is ProbRecalib:
-        spec = ProbRecalib(ridge=float(fields.pop("ridge")), clamp=float(fields.pop("clamp")))
-        c = int(fields.pop("num_classes"))
-        w = np.array([float(v) for v in fields["W"].split(",")])
-        b = np.array([float(v) for v in fields["b"].split(",")])
-        state = {"W": w.reshape(c, -1), "b": b}
-        return FittedRectifier(spec, state)
-    spec = cls()
-    state = {}
-    for key, value in fields.items():
-        arr = np.array([float(v) for v in value.split(",")])
-        state[key] = float(arr[0]) if key in ("shift", "a", "b") else arr
-    return FittedRectifier(spec, state)
+    cls = RECTIFIERS[tag]
+    spec = cls(**{f.name: float(values.pop(f.name)) for f in fields(cls)})
+    arrays = {key: np.array([float(v) for v in value.split(",")]) for key, value in values.items()}
+    return FittedRectifier(spec, spec.load_state(arrays))

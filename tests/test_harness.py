@@ -260,6 +260,27 @@ class TestCli:
         assert cli(["infer", "--labeled", str(p), "--loss", "ols",
                     "--gamma", "0", "--draws", "10"]) == 3
 
+    def test_unsupported_rectifier_is_2_without_running_draws(self, capsys):
+        assert cli(["infer", "--scenario", "gaussian-shift", "--n", "30",
+                    "--n-unlabeled", "30", "--rectifier", "prob-recalib",
+                    "--draws", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "draws failed" not in err
+
+    def test_unsupported_loss_capability_is_2(self, capsys):
+        assert cli(["diagnose", "--scenario", "gaussian-shift", "--n", "30",
+                    "--n-unlabeled", "30", "--loss", "quantile"]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_config_flag_without_path_is_1(self, capsys):
+        assert cli(["infer", "--config"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_config_file_is_2(self, tmp_path, capsys):
+        assert cli(["infer", "--config", str(tmp_path / "missing.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
     def test_config_file_merges_with_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scenario = gaussian-shift\nn = 30\nn-unlabeled = 30\n"

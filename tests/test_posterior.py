@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rectiprior.exceptions import ParameterError, RectipriorError
+from rectiprior.cli import _make_parser
+from rectiprior.exceptions import OutcomeTypeError, ParameterError, RectipriorError
 from rectiprior.losses import MeanLoss, QuantileLoss, MultinomialLogisticLoss, WeightedProblem, solve_weighted
 from rectiprior.measures import (
     AtomicMeasure,
@@ -21,7 +22,19 @@ from rectiprior.posterior import (
     serialize_run,
     summarize_run,
 )
-from rectiprior.rectifiers import Identity, MomentShift, Npb, Split
+from rectiprior.rectifiers import (
+    RECTIFIERS,
+    STRATEGIES,
+    Fixed,
+    Identity,
+    Isotonic,
+    MomentAffine,
+    MomentShift,
+    Npb,
+    ProbRecalib,
+    QuantileMap,
+    Split,
+)
 
 
 def make_real_data(n=40, k=20, shift=0.0, seed=0):
@@ -168,6 +181,14 @@ class TestRunPosterior:
         with pytest.raises(RectipriorError):
             run_posterior(labeled, base, LinearRegressionLoss(intercept=False), config)
 
+    def test_recurring_error_raises_at_once(self):
+        # probability recalibration cannot fit on real outcomes; every draw
+        # would fail the same way, so the first one stops the run
+        labeled, base = make_real_data()
+        config = PriorConfig(gamma=1.0, draws=20, rectifier=ProbRecalib(), strategy=Npb())
+        with pytest.raises(OutcomeTypeError):
+            run_posterior(labeled, base, MeanLoss(), config)
+
 
 class TestPredictClass:
     def test_separable_problem_predicts_sign(self):
@@ -212,6 +233,20 @@ class TestSerialization:
                 b = int(line.split()[1])
                 val = float(line.split(" ok ")[1])
                 assert repr(val) == line.split(" ok ")[1]
+
+    @pytest.mark.parametrize("strategy", [Fixed, Split, Npb])
+    @pytest.mark.parametrize("rectifier", [Identity, QuantileMap, Isotonic, MomentShift,
+                                           MomentAffine, ProbRecalib])
+    def test_config_tags_are_cli_choices(self, rectifier, strategy):
+        config = PriorConfig(gamma=1.0, draws=2, rectifier=rectifier(), strategy=strategy())
+        run = PosteriorRun(samples=np.zeros((2, 1)), point=np.zeros(1),
+                           intervals=np.zeros((1, 2)), level=0.9, config=config,
+                           statuses=("ok", "ok"))
+        fields = dict(kv.split("=") for kv in serialize_run(run).split("\n")[1].split()[1:])
+        args = _make_parser().parse_args(["infer", "--rectifier", fields["rectifier"],
+                                          "--strategy", fields["strategy"]])
+        assert RECTIFIERS[args.rectifier] is rectifier
+        assert STRATEGIES[args.strategy] is strategy
 
     def test_summary_mentions_interval(self):
         labeled, base = make_real_data()
