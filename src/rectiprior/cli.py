@@ -133,17 +133,27 @@ def _make_parser():
     return parser
 
 
+def _given(argv, flag):
+    """Whether argv sets `flag`, as `--flag value` or as `--flag=value`."""
+    return any(arg == flag or arg.startswith(flag + "=") for arg in argv)
+
+
 def _apply_config_file(argv):
-    if "--config" not in argv:
+    for i, arg in enumerate(argv):
+        if arg.startswith("--config="):
+            path = arg.partition("=")[2]
+            break
+        if arg == "--config":
+            if i + 1 == len(argv):
+                raise UsageError("--config needs a file path")
+            path = argv[i + 1]
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise UsageError("--config needs a file path")
-    values = _read_config_file(argv[i + 1])
     extra = []
-    for key, value in values.items():
+    for key, value in _read_config_file(path).items():
         flag = "--" + key.replace("_", "-")
-        if flag not in argv:
+        if not _given(argv, flag):
             extra.extend([flag, value])
     return argv + extra
 

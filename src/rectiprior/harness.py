@@ -170,13 +170,44 @@ def _parse_float(cell, line_no):
         raise IngestionError(f"non-numeric cell {cell!r}", line=line_no) from None
 
 
-def _read_rows(path):
+def _read_header(path):
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
+        header = next(csv.reader(fh), None)
+    if header is None:
         raise IngestionError("empty file", line=1)
-    return rows[0], rows[1:]
+    return header
+
+
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
+
+
+def _read_body(path, width) -> np.ndarray:
+    """The rows after the header as a (rows, width) float array.
+
+    numpy parses the file.  When it fails, or skips a blank line that this
+    format rejects, the rows are parsed again cell by cell so that the first
+    bad line raises an IngestionError.
+    """
+    with open(path, newline="") as fh:
+        lines = sum(1 for _ in fh) - 1
+        fh.seek(0)
+        fh.readline()
+        table = None
+        if lines > 0:
+            try:
+                table = np.loadtxt(fh, **_LOADTXT)
+            except ValueError:
+                pass
+    if table is not None and table.shape == (lines, width):
+        return table
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    table = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise IngestionError(f"expected {width} cells, got {len(row)}", line=i + 2)
+        table[i] = [_parse_float(c, i + 2) for c in row]
+    return table
 
 
 def _x_columns(header):
@@ -192,7 +223,7 @@ def load_labeled_csv(path, num_classes=None) -> LabeledSample:
     Optional trailing columns yhat or p1..pC attach per-row imputations for
     paired rectifiers.
     """
-    header, rows = _read_rows(path)
+    header = _read_header(path)
     d = _x_columns(header)
     rest = header[d:]
     if not rest or rest[0] not in ("y", "y_class"):
@@ -207,28 +238,20 @@ def load_labeled_csv(path, num_classes=None) -> LabeledSample:
         else:
             raise IngestionError("class outcomes need a declared number of classes", line=1)
 
-    xs, ys, imps = [], [], []
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise IngestionError(f"expected {len(header)} cells, got {len(row)}", line=i)
-        xs.append([_parse_float(c, i) for c in row[:d]])
-        ys.append(_parse_float(row[d], i))
-        if imp_cols:
-            imps.append([_parse_float(c, i) for c in row[d + 1:]])
-    x = np.asarray(xs, dtype=float).reshape(len(rows), d)
+    table = _read_body(path, len(header))
+    ys = table[:, d]
     imputed = None
     if imp_cols == ["yhat"]:
-        imputed = Outcomes.real([v[0] for v in imps])
+        imputed = Outcomes.real(table[:, d + 1])
     elif imp_cols:
-        imputed = Outcomes.probs(_renorm_probs(np.asarray(imps)))
+        imputed = Outcomes.probs(_renorm_probs(table[:, d + 1:]))
     if kind == "y":
         outcomes = Outcomes.real(ys)
     else:
-        labels = np.asarray(ys)
-        if np.any(labels != np.round(labels)):
+        if np.any(ys != np.round(ys)):
             raise IngestionError("y_class entries must be integers", line=2)
-        outcomes = Outcomes.classes(labels.astype(int), num_classes)
-    return LabeledSample(x, outcomes, imputed)
+        outcomes = Outcomes.classes(ys.astype(int), num_classes)
+    return LabeledSample(table[:, :d], outcomes, imputed)
 
 
 def _renorm_probs(p):
@@ -241,7 +264,7 @@ def _renorm_probs(p):
 
 def load_base_csv(path) -> AtomicMeasure:
     """Read a base measure: columns x1..xd plus yhat or p1..pC, uniform weights."""
-    header, rows = _read_rows(path)
+    header = _read_header(path)
     d = _x_columns(header)
     rest = header[d:]
     if rest == ["yhat"]:
@@ -250,18 +273,12 @@ def load_base_csv(path) -> AtomicMeasure:
         kind = "probs"
     else:
         raise IngestionError("expected yhat or p1..pC columns after x1..xd", line=1)
-    xs, vals = [], []
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise IngestionError(f"expected {len(header)} cells, got {len(row)}", line=i)
-        xs.append([_parse_float(c, i) for c in row[:d]])
-        vals.append([_parse_float(c, i) for c in row[d:]])
-    x = np.asarray(xs, dtype=float).reshape(len(rows), d)
+    table = _read_body(path, len(header))
     if kind == "real":
-        outcomes = Outcomes.real([v[0] for v in vals])
+        outcomes = Outcomes.real(table[:, d])
     else:
-        outcomes = Outcomes.probs(_renorm_probs(np.asarray(vals)))
-    return AtomicMeasure(x, outcomes)
+        outcomes = Outcomes.probs(_renorm_probs(table[:, d:]))
+    return AtomicMeasure(table[:, :d], outcomes)
 
 
 def write_labeled_csv(path, labeled: LabeledSample):

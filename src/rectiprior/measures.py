@@ -208,21 +208,32 @@ class DirichletWeights:
     base_w: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream) -> DirichletWeights:
-    """Draw (w_1..w_n, wt_1..wt_k) ~ Dirichlet(1,...,1, alpha/k,...,alpha/k).
+def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
+                             base_weights=None) -> DirichletWeights:
+    """Draw (w_1..w_n, wt_1..wt_k) ~ Dirichlet(1,...,1, alpha*v_1,...,alpha*v_k).
 
-    Sampling goes through independent Gamma variates; shapes alpha/k below 1
-    are handled exactly by the generator.  Underflowed zeros are clamped to
-    the smallest positive float and the vector renormalized, so downstream
-    objectives never see a degenerate zero weight.
+    v is `base_weights`, the base measure's atom weights (uniform 1/k when
+    omitted).  Sampling goes through independent Gamma variates normalized
+    jointly; shapes below 1 are handled exactly by the generator.
+    Underflowed zeros are clamped to the smallest positive float and the
+    vector renormalized, so downstream objectives never see a degenerate
+    zero weight.
     """
     if n < 1 or k < 1:
         raise ParameterError("n and k must be positive")
     if not alpha > 0:
         raise ParameterError("alpha must be positive")
+    w = None if base_weights is None else np.asarray(base_weights, dtype=float)
+    if w is not None and w.shape != (k,):
+        raise ParameterError("need one base weight per atom")
+    if w is None or np.all(w == w[0]):
+        # Equal weights are 1/k up to rounding; alpha/k keeps every shape
+        # exact (exactly 1 when alpha = k, which the generator draws fastest).
+        base_shapes = np.full(k, alpha / k)
+    else:
+        base_shapes = alpha * w
     gen = rng.generator()
-    shapes = np.concatenate([np.ones(n), np.full(k, alpha / k)])
-    g = gen.gamma(shapes)
+    g = gen.gamma(np.concatenate([np.ones(n), base_shapes]))
     g = np.maximum(g, np.finfo(float).tiny)
     g = g / g.sum()
     return DirichletWeights(labeled_w=g[:n], base_w=g[n:])

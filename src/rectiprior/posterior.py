@@ -28,7 +28,6 @@ from .measures import (
 from .rectifiers import (
     CalibrationStrategy,
     Fixed,
-    FittedRectifier,
     Identity,
     RectifierSpec,
     apply_rectifier,
@@ -88,15 +87,61 @@ def credible_interval(samples, level: float) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+@dataclass(frozen=True)
+class RunPlan:
+    """The parts of a draw that are the same on every draw of a run.
+
+    A field left None is built by each draw from its own random stream.
+    `rect` is the rectified base; `covariates` stacks the inference rows
+    over the base atoms; `outcomes` concatenates the inference outcomes and
+    the rectified base's.
+    """
+
+    rect: AtomicMeasure | None = None
+    covariates: np.ndarray | None = None
+    outcomes: Outcomes | None = None
+
+
+def _realizes_labels(rect: AtomicMeasure, loss: LossSpec) -> bool:
+    return rect.outcomes.kind == PROBS and is_classification(loss)
+
+
+def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
+             config: PriorConfig) -> RunPlan:
+    """Build once what every draw of the run would otherwise rebuild.
+
+    The rectified base is fixed when the rectifier ignores its calibration
+    sample or the strategy calibrates on the whole labeled sample every
+    time.  Rectifiers never change covariates, so the stacked covariates are
+    fixed whenever the strategy infers on the whole labeled sample, and the
+    concatenated outcomes are too when the rectified base is fixed and no
+    class labels are drawn from it.
+    """
+    if config.gamma == 0.0 or base is None:
+        return RunPlan()
+    rect = None
+    if not (config.strategy.random_calibration and config.rectifier.calibrated):
+        rect = apply_rectifier(fit_rectifier(config.rectifier, labeled, base), base)
+    if config.strategy.random_inference:
+        return RunPlan(rect)
+    covariates = np.vstack([labeled.covariates, base.covariates])
+    outcomes = None
+    if rect is not None and not _realizes_labels(rect, loss):
+        outcomes = Outcomes.concat(labeled.outcomes, rect.outcomes)
+    return RunPlan(rect, covariates, outcomes)
+
+
 def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
                    config: PriorConfig, draw_index: int,
-                   prefit: FittedRectifier | None = None) -> np.ndarray:
+                   plan: RunPlan | None = None) -> np.ndarray:
     """One posterior bootstrap draw with stream id = draw_index.
 
-    Steps: build the calibration/inference split, fit (or reuse) the
-    rectifier, rectify the base measure, realize class labels when the base
-    carries probability atoms, sample the conjugate Dirichlet weights with
-    alpha = gamma * n, and solve the combined weighted problem.
+    Steps: build the calibration/inference split, fit the rectifier and
+    rectify the base measure, realize class labels when the base carries
+    probability atoms, sample the conjugate Dirichlet weights (alpha =
+    gamma * n, spread over the atoms by their weights), and solve the
+    combined weighted problem.  Steps whose result `plan` (from `plan_run`)
+    holds are skipped; without a plan the draw does every step itself.
     """
     rng = RngStream(config.seed, (draw_index,))
     if config.gamma == 0.0:
@@ -106,18 +151,23 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
 
     if base is None:
         raise ParameterError("base measure required when gamma > 0")
-    calib, inference = make_calibration_sample(labeled, config.strategy, rng.child(0))
-    fitted = prefit if prefit is not None else fit_rectifier(config.rectifier, calib, base)
-    rect = apply_rectifier(fitted, base)
-    if rect.outcomes.kind == PROBS and is_classification(loss):
-        rect = realize_class_labels(rect, rng.child(1))
+    plan = plan or RunPlan()
+    rect, covs, outs = plan.rect, plan.covariates, plan.outcomes
+    inference = labeled
+    if rect is None or covs is None:
+        calib, inference = make_calibration_sample(labeled, config.strategy, rng.child(0))
+        if rect is None:
+            rect = apply_rectifier(fit_rectifier(config.rectifier, calib, base), base)
+    if outs is None:
+        if _realizes_labels(rect, loss):
+            rect = realize_class_labels(rect, rng.child(1))
+        outs = Outcomes.concat(inference.outcomes, rect.outcomes)
+    if covs is None:
+        covs = np.vstack([inference.covariates, rect.covariates])
 
     n, k = inference.n, rect.k
-    dw = sample_dirichlet_weights(n, k, config.gamma * n, rng.child(2))
-    covs = np.vstack([inference.covariates, rect.covariates])
-    outs = Outcomes.concat(inference.outcomes, rect.outcomes)
-    weights = np.concatenate([dw.labeled_w, dw.base_w * rect.weights * k])
-    weights = np.maximum(weights, np.finfo(float).tiny)
+    dw = sample_dirichlet_weights(n, k, config.gamma * n, rng.child(2), rect.weights)
+    weights = np.maximum(np.concatenate([dw.labeled_w, dw.base_w]), np.finfo(float).tiny)
     problem = WeightedProblem(covs, outs, weights, loss)
     return solve_weighted(problem)
 
@@ -126,19 +176,18 @@ def run_posterior(labeled: LabeledSample, base: AtomicMeasure | None, loss: Loss
                   config: PriorConfig) -> PosteriorRun:
     """Draw config.draws posterior bootstrap samples and summarize them.
 
-    Under the Fixed strategy the rectifier is fit once and reused; Split and
-    Npb refit per draw so rectifier uncertainty propagates into the
-    posterior.  A draw fails on a numerical error (rank deficiency or
-    non-convergence); runs with more than 5% failed draws abort.  Any other
-    error recurs on every draw and is raised at once.
+    What no draw changes (see `plan_run`) is built once before the draws.
+    Under Split and Npb a calibrated rectifier is refit per draw so
+    rectifier uncertainty propagates into the posterior.  A draw fails on a
+    numerical error (rank deficiency or non-convergence); runs with more
+    than 5% failed draws abort.  Any other error recurs on every draw and is
+    raised at once.
     """
-    prefit = None
-    if config.gamma > 0 and isinstance(config.strategy, Fixed):
-        prefit = fit_rectifier(config.rectifier, labeled, base)
+    plan = plan_run(labeled, base, loss, config)
 
     def one(b):
         try:
-            return posterior_draw(labeled, base, loss, config, b, prefit=prefit), "ok"
+            return posterior_draw(labeled, base, loss, config, b, plan), "ok"
         except (RankDeficiencyError, ConvergenceError) as exc:
             return None, f"draw {b}: {exc}"
 

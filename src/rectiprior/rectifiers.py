@@ -33,7 +33,13 @@ from .measures import (
 
 
 class RectifierSpec:
-    """Behaviour shared by every rectifier spec."""
+    """Behaviour shared by every rectifier spec.
+
+    `calibrated` is False for a rectifier whose fit ignores the calibration
+    sample, so that one fit serves every posterior draw.
+    """
+
+    calibrated = True
 
     def load_state(self, arrays: dict) -> dict:
         """Fitted state from the flat arrays of its serialized form."""
@@ -57,6 +63,7 @@ class _MomentMap(_RealMap):
 @dataclass(frozen=True)
 class Identity(RectifierSpec):
     tag = "identity"
+    calibrated = False
 
     def fit(self, calib, base):
         return FittedRectifier(self, {})
@@ -147,12 +154,20 @@ class ProbRecalib(RectifierSpec):
 
 
 class CalibrationStrategy:
-    """Builds a draw's (calibration, inference) pair with `split`."""
+    """Builds a draw's (calibration, inference) pair with `split`.
+
+    `random_calibration` and `random_inference` say which part of the pair
+    changes from draw to draw; a posterior run builds the other part once.
+    """
+
+    random_calibration = True
+    random_inference = False
 
 
 @dataclass(frozen=True)
 class Fixed(CalibrationStrategy):
     tag = "fixed"
+    random_calibration = False
 
     def split(self, labeled, rng):
         return labeled, labeled
@@ -162,6 +177,7 @@ class Fixed(CalibrationStrategy):
 class Split(CalibrationStrategy):
     fraction: float = 0.5
     tag = "split"
+    random_inference = True
 
     def __post_init__(self):
         if not 0.0 < self.fraction < 1.0:
@@ -372,10 +388,17 @@ def parse_rectifier(text: str) -> FittedRectifier:
     for ln in lines[1:]:
         key, _, value = ln.partition("=")
         values[key.strip()] = value.strip()
+    if "spec" not in values:
+        raise ParameterError("rectifier document has no spec line")
     tag = values.pop("spec")
     if tag not in RECTIFIERS:
         raise ParameterError(f"unknown rectifier tag {tag!r}")
     cls = RECTIFIERS[tag]
-    spec = cls(**{f.name: float(values.pop(f.name)) for f in fields(cls)})
-    arrays = {key: np.array([float(v) for v in value.split(",")]) for key, value in values.items()}
-    return FittedRectifier(spec, spec.load_state(arrays))
+    try:
+        spec = cls(**{f.name: float(values.pop(f.name)) for f in fields(cls)})
+        arrays = {key: np.array([float(v) for v in value.split(",")]) for key, value in values.items()}
+        return FittedRectifier(spec, spec.load_state(arrays))
+    except KeyError as exc:
+        raise ParameterError(f"rectifier document has no {exc.args[0]!r} line") from None
+    except ValueError as exc:
+        raise ParameterError(f"malformed rectifier document: {exc}") from None

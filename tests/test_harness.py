@@ -126,6 +126,15 @@ class TestCsvRoundTrip:
             load_base_csv(p)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("body", ["1.0,2.0\n\n3.0,4.0\n", "1.0,2.0\n1.0,#4.0\n"])
+    def test_malformed_body_line_reports_line(self, tmp_path, body):
+        # a blank line, and a '#' cell (not a comment), are errors on line 3
+        p = tmp_path / "bad.csv"
+        p.write_text("x1,yhat\n" + body)
+        with pytest.raises(IngestionError) as exc:
+            load_base_csv(p)
+        assert exc.value.line == 3
+
     def test_class_outcomes_need_count(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("x1,y_class\n0.0,1\n0.0,0\n")
@@ -289,4 +298,16 @@ class TestCli:
         first = capsys.readouterr().out
         assert "posterior draws: 20" in first
         assert cli(["infer", "--config", str(cfg), "--draws", "25"]) == 0
+        assert "posterior draws: 25" in capsys.readouterr().out
+
+    def test_config_equals_form_is_read(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = gaussian-shift\nn = 30\nn-unlabeled = 30\ndraws = 20\n")
+        assert cli(["infer", f"--config={cfg}"]) == 0
+        assert "posterior draws: 20" in capsys.readouterr().out
+
+    def test_flag_equals_form_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = gaussian-shift\nn = 30\nn-unlabeled = 30\ndraws = 20\n")
+        assert cli(["infer", "--config", str(cfg), "--draws=25"]) == 0
         assert "posterior draws: 25" in capsys.readouterr().out

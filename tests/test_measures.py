@@ -163,11 +163,14 @@ class TestInvariantsAndValidation:
             AtomicMeasure(np.zeros((2, 1)), Outcomes.real([1.0, 2.0]),
                           np.array([0.5, 0.6]))
 
-    @given(st.integers(1, 8), st.integers(1, 8),
+    @given(st.integers(1, 8), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), st.booleans(),
            st.floats(1e-3, 50.0, allow_nan=False), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
-    def test_weights_always_on_open_simplex(self, n, k, alpha, seed):
-        dw = sample_dirichlet_weights(n, k, alpha, RngStream(seed))
+    def test_weights_always_on_open_simplex(self, n, raw, weighted, alpha, seed):
+        # uniform bases, and weighted ones (zero atom weights included)
+        k = len(raw)
+        weights = np.array(raw) / sum(raw) if weighted and sum(raw) > 0 else None
+        dw = sample_dirichlet_weights(n, k, alpha, RngStream(seed), weights)
         joint = np.concatenate([dw.labeled_w, dw.base_w])
         assert np.all(joint > 0)
         assert abs(joint.sum() - 1.0) < 1e-12

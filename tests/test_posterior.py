@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rectiprior.cli import _make_parser
+from rectiprior.harness import ScenarioSpec, generate_scenario
 from rectiprior.exceptions import OutcomeTypeError, ParameterError, RectipriorError
 from rectiprior.losses import MeanLoss, QuantileLoss, MultinomialLogisticLoss, WeightedProblem, solve_weighted
 from rectiprior.measures import (
@@ -252,6 +253,40 @@ class TestSerialization:
         labeled, base = make_real_data()
         run = run_posterior(labeled, base, MeanLoss(), PriorConfig(gamma=1.0, draws=10))
         assert "90% CI" in summarize_run(run)
+
+
+class TestRunPlan:
+    @pytest.mark.parametrize("scenario,loss,rectifier,strategy", [
+        *[("monotone-distortion", MeanLoss(), rectifier, strategy)
+          for strategy in (Fixed(), Npb(), Split(0.5)) for rectifier in (Identity(), QuantileMap())],
+        ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Fixed()),
+    ])
+    def test_run_matches_from_scratch_draws(self, scenario, loss, rectifier, strategy):
+        # what a run builds once must leave every draw bit-identical to the
+        # same draw computed on its own
+        labeled, base, _ = generate_scenario(ScenarioSpec(scenario, n=60, n_unlabeled=90, seed=3))
+        config = PriorConfig(gamma=1.0, draws=12, rectifier=rectifier, strategy=strategy,
+                             seed=21, threads=2)
+        run = run_posterior(labeled, base, loss, config)
+        assert run.statuses == ("ok",) * config.draws
+        for b in range(config.draws):
+            assert np.array_equal(run.samples[b], posterior_draw(labeled, base, loss, config, b))
+
+    def test_weighted_base_follows_conjugate_law(self):
+        # labeled outcomes 0 and base atoms (0, 1) weighted (0.9, 0.1): each
+        # mean-loss draw is the weight on the second atom, which under
+        # Dirichlet(1 x 20, 9, 1) has mean 1/30 and sd 0.032
+        n, gamma, draws = 20, 0.5, 4000
+        labeled = LabeledSample(np.zeros((n, 1)), Outcomes.real(np.zeros(n)))
+        base = AtomicMeasure(np.zeros((2, 1)), Outcomes.real([0.0, 1.0]), np.array([0.9, 0.1]))
+        run = run_posterior(labeled, base, MeanLoss(), PriorConfig(gamma=gamma, draws=draws, seed=5))
+        engine = run.samples[:, 0]
+        exact = np.random.default_rng(5).dirichlet(
+            np.concatenate([np.ones(n), gamma * n * base.weights]), size=draws)[:, -1]
+        for moment in (1, 2):
+            a, b = engine**moment, exact**moment
+            se = np.sqrt(a.var() / draws + b.var() / draws)
+            assert abs(a.mean() - b.mean()) < 5 * se, moment
 
 
 class TestConfigValidation:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import softmax
 
 from rectiprior.exceptions import OutcomeTypeError, ParameterError
@@ -7,6 +9,7 @@ from rectiprior.losses import MeanLoss, loss_values, MultinomialLogisticLoss
 from rectiprior.measures import AtomicMeasure, LabeledSample, Outcomes, RngStream
 from rectiprior.rectifiers import (
     Fixed,
+    FittedRectifier,
     Identity,
     Isotonic,
     MomentAffine,
@@ -42,6 +45,19 @@ def real_base(yhat, x=None, weights=None):
     yhat = np.asarray(yhat, dtype=float)
     x = np.zeros((yhat.size, 1)) if x is None else np.asarray(x, dtype=float)
     return AtomicMeasure(x, Outcomes.real(yhat), weights)
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def paired_sample(draw):
+    """A real calibration sample with paired imputations."""
+    size = draw(st.integers(1, 30))
+    y = draw(st.lists(_finite, min_size=size, max_size=size))
+    yhat = draw(st.lists(_finite, min_size=size, max_size=size))
+    x = draw(st.lists(_finite, min_size=size, max_size=size))
+    return real_sample(y, np.asarray(x)[:, None], yhat)
 
 
 def reference_pava(values, weights):
@@ -109,6 +125,15 @@ class TestQuantileMap:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             fit_quantile_map([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("spec", [QuantileMap(), Isotonic()])
+@given(calib=paired_sample(), base_y=st.lists(_finite, min_size=1, max_size=50))
+@settings(max_examples=60, deadline=None)
+def test_apply_is_monotone_in_base_outcome(spec, calib, base_y):
+    fitted = fit_rectifier(spec, calib, real_base(base_y))
+    out = apply_rectifier(fitted, real_base(np.sort(base_y))).outcomes.values
+    assert np.all(np.diff(out) >= 0)
 
 
 class TestIsotonic:
@@ -344,6 +369,40 @@ class TestSerialization:
         assert r2.spec == r.spec
         assert np.array_equal(r2.state["W"], r.state["W"])
         assert np.array_equal(r2.state["b"], r.state["b"])
+
+    @given(paired_sample(), st.lists(_finite, min_size=1, max_size=30),
+           st.sampled_from([Identity(), QuantileMap(), Isotonic(), MomentShift(), MomentAffine()]))
+    @settings(max_examples=60, deadline=None)
+    def test_real_families_round_trip(self, calib, base_y, spec):
+        r = fit_rectifier(spec, calib, real_base(base_y))
+        text = serialize_rectifier(r)
+        r2 = parse_rectifier(text)
+        assert r2.spec == r.spec
+        assert r2.state.keys() == r.state.keys()
+        for key, val in r.state.items():
+            assert np.array_equal(r2.state[key], val)
+        assert serialize_rectifier(r2) == text
+
+    @given(st.integers(2, 4), st.integers(0, 2), st.data(),
+           st.floats(0.0, 1.0), st.floats(1e-8, 1e-2))
+    @settings(max_examples=30, deadline=None)
+    def test_prob_recalib_state_round_trips(self, c, d, data, ridge, clamp):
+        W = np.array(data.draw(st.lists(_finite, min_size=c * (c + d), max_size=c * (c + d))))
+        b = np.array(data.draw(st.lists(_finite, min_size=c, max_size=c)))
+        r = FittedRectifier(ProbRecalib(ridge=ridge, clamp=clamp), {"W": W.reshape(c, c + d), "b": b})
+        r2 = parse_rectifier(serialize_rectifier(r))
+        assert r2.spec == r.spec
+        assert np.array_equal(r2.state["W"], r.state["W"])
+        assert np.array_equal(r2.state["b"], r.state["b"])
+
+    @pytest.mark.parametrize("text", [
+        "rectiprior-rectifier-v1\nshift = 1.0\n",
+        "rectiprior-rectifier-v1\nspec = moment-shift\nshift = abc\n",
+        "rectiprior-rectifier-v1\nspec = prob-recalib\nclamp = 1e-06\nW = 1.0,2.0\nb = 0.5\n",
+    ])
+    def test_malformed_document_is_parameter_error(self, text):
+        with pytest.raises(ParameterError):
+            parse_rectifier(text)
 
     def test_bad_format_rejected(self):
         with pytest.raises(ParameterError):
