@@ -45,9 +45,12 @@ class LossSpec:
 
     Methods take a flat theta of length `dim(d_x)`, a 2-D covariate matrix
     and outcomes of the spec's `kind`; `hessian` takes normalized weights.
+    `reads_covariates` is False for a loss whose value at an atom depends on
+    its outcome alone, so that atoms with equal outcomes can be merged.
     """
 
     kind = REAL
+    reads_covariates = True
 
     def dim(self, d_x):
         return 1
@@ -71,6 +74,8 @@ class _Classifier(LossSpec):
 
 @dataclass(frozen=True)
 class MeanLoss(LossSpec):
+    reads_covariates = False
+
     def values(self, theta, X, y):
         return 0.5 * (y.values - theta[0]) ** 2
 
@@ -87,6 +92,7 @@ class MeanLoss(LossSpec):
 @dataclass(frozen=True)
 class QuantileLoss(LossSpec):
     tau: float
+    reads_covariates = False
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:

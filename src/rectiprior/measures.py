@@ -7,6 +7,7 @@ All types are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,9 +196,13 @@ class AtomicMeasure:
         return len(self.outcomes)
 
     def with_outcomes(self, outcomes: Outcomes) -> "AtomicMeasure":
+        """The same atoms with new outcomes; covariates and weights are reused
+        as validated, not copied or renormalized."""
         if len(outcomes) != self.k:
             raise ParameterError("replacement outcomes must match atom count")
-        return AtomicMeasure(self.covariates, outcomes, self.weights)
+        measure = copy.copy(self)
+        object.__setattr__(measure, "outcomes", outcomes)
+        return measure
 
 
 @dataclass(frozen=True)

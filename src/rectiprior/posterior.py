@@ -17,6 +17,7 @@ from .exceptions import ConvergenceError, ParameterError, RankDeficiencyError, R
 from .losses import LossSpec, WeightedProblem, is_classification, predict_probs, solve_weighted
 from .measures import (
     PROBS,
+    REAL,
     AtomicMeasure,
     LabeledSample,
     Outcomes,
@@ -26,6 +27,8 @@ from .measures import (
     sample_uniform_dirichlet,
 )
 from .rectifiers import (
+    RECTIFIERS,
+    STRATEGIES,
     CalibrationStrategy,
     Fixed,
     Identity,
@@ -106,25 +109,53 @@ def _realizes_labels(rect: AtomicMeasure, loss: LossSpec) -> bool:
     return rect.outcomes.kind == PROBS and is_classification(loss)
 
 
+def _rectifies_once(config: PriorConfig) -> bool:
+    """Whether every draw rectifies the base alike: the rectifier ignores its
+    calibration sample or the strategy calibrates on the whole labeled
+    sample every time."""
+    return not (config.strategy.random_calibration and config.rectifier.calibrated)
+
+
+def _merge_atoms(rect: AtomicMeasure, loss: LossSpec) -> AtomicMeasure:
+    """`rect` with its atoms of equal outcome merged when `loss` reads no covariates.
+
+    Each distinct outcome keeps its first atom's covariate row and the sum
+    of its atoms' weights.  By the aggregation property of the Dirichlet
+    distribution the posterior law is unchanged, and a draw needs one Gamma
+    variate per distinct outcome instead of one per atom.  `rect` itself is
+    returned when nothing merges.
+    """
+    if loss.reads_covariates or rect.outcomes.kind != REAL:
+        return rect
+    values, first, inverse = np.unique(rect.outcomes.values, return_index=True,
+                                       return_inverse=True)
+    if values.size == rect.k:
+        return rect
+    weights = np.bincount(inverse, weights=rect.weights)
+    return AtomicMeasure(rect.covariates[first], Outcomes.real(values), weights / weights.sum())
+
+
 def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
              config: PriorConfig) -> RunPlan:
     """Build once what every draw of the run would otherwise rebuild.
 
     The rectified base is fixed when the rectifier ignores its calibration
     sample or the strategy calibrates on the whole labeled sample every
-    time.  Rectifiers never change covariates, so the stacked covariates are
-    fixed whenever the strategy infers on the whole labeled sample, and the
-    concatenated outcomes are too when the rectified base is fixed and no
-    class labels are drawn from it.
+    time; its atoms of equal outcome are then merged for a loss that reads
+    no covariates.  Rectifiers never change covariates, so the stacked
+    covariates are fixed whenever the strategy infers on the whole labeled
+    sample, and the concatenated outcomes are too when the rectified base is
+    fixed and no class labels are drawn from it.
     """
     if config.gamma == 0.0 or base is None:
         return RunPlan()
     rect = None
-    if not (config.strategy.random_calibration and config.rectifier.calibrated):
+    if _rectifies_once(config):
         rect = apply_rectifier(fit_rectifier(config.rectifier, labeled, base), base)
+        rect = _merge_atoms(rect, loss)
     if config.strategy.random_inference:
         return RunPlan(rect)
-    covariates = np.vstack([labeled.covariates, base.covariates])
+    covariates = np.vstack([labeled.covariates, (base if rect is None else rect).covariates])
     outcomes = None
     if rect is not None and not _realizes_labels(rect, loss):
         outcomes = Outcomes.concat(labeled.outcomes, rect.outcomes)
@@ -137,7 +168,8 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     """One posterior bootstrap draw with stream id = draw_index.
 
     Steps: build the calibration/inference split, fit the rectifier and
-    rectify the base measure, realize class labels when the base carries
+    rectify the base measure (merging atoms as `plan_run` does when the
+    rectified base is fixed), realize class labels when the base carries
     probability atoms, sample the conjugate Dirichlet weights (alpha =
     gamma * n, spread over the atoms by their weights), and solve the
     combined weighted problem.  Steps whose result `plan` (from `plan_run`)
@@ -158,6 +190,8 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
         calib, inference = make_calibration_sample(labeled, config.strategy, rng.child(0))
         if rect is None:
             rect = apply_rectifier(fit_rectifier(config.rectifier, calib, base), base)
+            if _rectifies_once(config):
+                rect = _merge_atoms(rect, loss)
     if outs is None:
         if _realizes_labels(rect, loss):
             rect = realize_class_labels(rect, rng.child(1))
@@ -207,8 +241,8 @@ def run_posterior(labeled: LabeledSample, base: AtomicMeasure | None, loss: Loss
 
     samples = np.asarray(thetas)
     point = samples.mean(axis=0)
-    intervals = np.asarray([credible_interval(samples[:, j], config.level)
-                            for j in range(samples.shape[1])])
+    beta = 1.0 - config.level
+    intervals = np.quantile(samples, [beta / 2.0, 1.0 - beta / 2.0], axis=0, method="linear").T
     return PosteriorRun(samples=samples, point=point, intervals=intervals,
                         level=config.level, config=config, statuses=statuses)
 
@@ -253,6 +287,78 @@ def serialize_run(run: PosteriorRun) -> str:
     out.write(f"summary point={_vec(run.point)} lower={_vec(run.intervals[:, 0])} "
               f"upper={_vec(run.intervals[:, 1])} level={run.level!r}\n")
     return out.getvalue()
+
+
+def _record(line: str, head: str) -> dict:
+    """{key: [value, ...]} from a `head key=v key=v v ...` line."""
+    word, *tokens = line.split() or [""]
+    if word != head:
+        raise ParameterError(f"expected a {head} line")
+    fields, values = {}, None
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if eq:
+            values = fields[key] = [value]
+        elif values is None:
+            raise ParameterError(f"{head} line value without a key")
+        else:
+            values.append(token)
+    return fields
+
+
+def _scalar(fields: dict, key: str, kind):
+    (value,) = fields[key]
+    return kind(value)
+
+
+def _spec(table: dict, fields: dict, key: str):
+    tag = _scalar(fields, key, str)
+    if tag not in table:
+        raise ParameterError(f"unknown {key} tag {tag!r}")
+    return table[tag]()
+
+
+def parse_run(text: str) -> PosteriorRun:
+    """Read back a `serialize_run` document.
+
+    The document names the strategy and the rectifier by tag only, so the
+    config comes back with their default parameters (the ones the CLI uses)
+    and one thread.  A malformed document raises `ParameterError`.
+    """
+    lines = text.splitlines()
+    if len(lines) < 3 or lines[0] != _FORMAT_TAG:
+        raise ParameterError("unrecognized posterior run document format")
+    try:
+        cfg = _record(lines[1], "config")
+        config = PriorConfig(gamma=_scalar(cfg, "gamma", float), draws=_scalar(cfg, "draws", int),
+                             level=_scalar(cfg, "level", float),
+                             strategy=_spec(STRATEGIES, cfg, "strategy"),
+                             rectifier=_spec(RECTIFIERS, cfg, "rectifier"),
+                             seed=_scalar(cfg, "seed", int))
+        summary = _record(lines[-1], "summary")
+        point, lower, upper = (np.array(summary[key], dtype=float)
+                               for key in ("point", "lower", "upper"))
+        intervals = np.column_stack([lower, upper])
+        statuses, rows = [], []
+        for b, line in enumerate(lines[2:-1]):
+            word, index, state, rest = line.split(" ", 3)
+            if word != "draw" or int(index) != b or state not in ("ok", "failed"):
+                raise ParameterError(f"malformed draw line {b}")
+            if state == "ok":
+                rows.append(rest.split())
+            statuses.append("ok" if state == "ok" else rest)
+        samples = np.array(rows, dtype=float).reshape(len(rows), point.size)
+        if len(statuses) != config.draws or intervals.shape != (point.size, 2):
+            raise ParameterError("draw or interval count disagrees with the config")
+        return PosteriorRun(samples=samples, point=point, intervals=intervals,
+                            level=_scalar(summary, "level", float), config=config,
+                            statuses=tuple(statuses))
+    except ParameterError:
+        raise
+    except KeyError as exc:
+        raise ParameterError(f"posterior run document has no {exc.args[0]!r} field") from None
+    except ValueError as exc:
+        raise ParameterError(f"malformed posterior run document: {exc}") from None
 
 
 def summarize_run(run: PosteriorRun) -> str:

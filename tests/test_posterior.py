@@ -4,7 +4,8 @@ import pytest
 from rectiprior.cli import _make_parser
 from rectiprior.harness import ScenarioSpec, generate_scenario
 from rectiprior.exceptions import OutcomeTypeError, ParameterError, RectipriorError
-from rectiprior.losses import MeanLoss, QuantileLoss, MultinomialLogisticLoss, WeightedProblem, solve_weighted
+from rectiprior.losses import (LinearRegressionLoss, MeanLoss, QuantileLoss, MultinomialLogisticLoss,
+                               WeightedProblem, solve_weighted)
 from rectiprior.measures import (
     AtomicMeasure,
     LabeledSample,
@@ -17,6 +18,8 @@ from rectiprior.posterior import (
     PosteriorRun,
     PriorConfig,
     credible_interval,
+    parse_run,
+    plan_run,
     posterior_draw,
     posterior_predict_class,
     run_posterior,
@@ -35,6 +38,8 @@ from rectiprior.rectifiers import (
     ProbRecalib,
     QuantileMap,
     Split,
+    apply_rectifier,
+    fit_rectifier,
 )
 
 
@@ -249,6 +254,38 @@ class TestSerialization:
         assert RECTIFIERS[args.rectifier] is rectifier
         assert STRATEGIES[args.strategy] is strategy
 
+    def test_parse_run_round_trips(self):
+        labeled, base = make_real_data()
+        config = PriorConfig(gamma=1.0, draws=4, strategy=Split(), rectifier=QuantileMap(), seed=5)
+        samples = np.random.default_rng(1).normal(size=(3, 2))
+        run = PosteriorRun(samples=samples, point=samples.mean(axis=0),
+                           intervals=np.column_stack([samples.min(axis=0), samples.max(axis=0)]),
+                           level=0.9, config=config,
+                           statuses=("ok", "draw 1: singular weighted normal equations", "ok", "ok"))
+        back = parse_run(serialize_run(run))
+        assert back.config == config
+        assert back.statuses == run.statuses
+        for name in ("samples", "point", "intervals"):
+            assert np.array_equal(getattr(back, name), getattr(run, name)), name
+        assert back.level == run.level
+
+    @pytest.mark.parametrize("old,new", [
+        ("rectiprior-posterior-v1", "rectiprior-posterior-v0"),
+        ("strategy=fixed", "strategy=fixd"),
+        ("draws=3", "draws=4"),
+        ("seed=5", "seed=five"),
+        ("draw 1 ok", "draw 2 ok"),
+        ("draw 1 ok", "draw 1 done"),
+        ("level=0.9\n", "\n"),
+    ])
+    def test_parse_run_rejects_malformed_document(self, old, new):
+        labeled, base = make_real_data()
+        text = serialize_run(run_posterior(labeled, base, MeanLoss(),
+                                           PriorConfig(gamma=1.0, draws=3, seed=5)))
+        assert old in text
+        with pytest.raises(ParameterError):
+            parse_run(text.replace(old, new, 1))
+
     def test_summary_mentions_interval(self):
         labeled, base = make_real_data()
         run = run_posterior(labeled, base, MeanLoss(), PriorConfig(gamma=1.0, draws=10))
@@ -260,6 +297,7 @@ class TestRunPlan:
         *[("monotone-distortion", MeanLoss(), rectifier, strategy)
           for strategy in (Fixed(), Npb(), Split(0.5)) for rectifier in (Identity(), QuantileMap())],
         ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Fixed()),
+        ("monotone-distortion", QuantileLoss(0.9), Isotonic(), Fixed()),
     ])
     def test_run_matches_from_scratch_draws(self, scenario, loss, rectifier, strategy):
         # what a run builds once must leave every draw bit-identical to the
@@ -272,21 +310,38 @@ class TestRunPlan:
         for b in range(config.draws):
             assert np.array_equal(run.samples[b], posterior_draw(labeled, base, loss, config, b))
 
-    def test_weighted_base_follows_conjugate_law(self):
-        # labeled outcomes 0 and base atoms (0, 1) weighted (0.9, 0.1): each
-        # mean-loss draw is the weight on the second atom, which under
+    @pytest.mark.parametrize("outcomes,weights", [
+        ([0.0, 1.0], [0.9, 0.1]),
+        ([0.0] * 9 + [1.0], None),
+    ], ids=["two-atoms", "ten-atoms"])
+    def test_weighted_base_follows_conjugate_law(self, outcomes, weights):
+        # labeled outcomes 0 and a base putting mass 0.9 on 0 and 0.1 on 1,
+        # as two weighted atoms or as ten uniform ones that the run merges:
+        # each mean-loss draw is the weight on outcome 1, which under
         # Dirichlet(1 x 20, 9, 1) has mean 1/30 and sd 0.032
         n, gamma, draws = 20, 0.5, 4000
         labeled = LabeledSample(np.zeros((n, 1)), Outcomes.real(np.zeros(n)))
-        base = AtomicMeasure(np.zeros((2, 1)), Outcomes.real([0.0, 1.0]), np.array([0.9, 0.1]))
+        base = AtomicMeasure(np.zeros((len(outcomes), 1)), Outcomes.real(outcomes), weights)
         run = run_posterior(labeled, base, MeanLoss(), PriorConfig(gamma=gamma, draws=draws, seed=5))
         engine = run.samples[:, 0]
         exact = np.random.default_rng(5).dirichlet(
-            np.concatenate([np.ones(n), gamma * n * base.weights]), size=draws)[:, -1]
+            np.concatenate([np.ones(n), gamma * n * base.weights]), size=draws)[:, n:] @ outcomes
         for moment in (1, 2):
             a, b = engine**moment, exact**moment
             se = np.sqrt(a.var() / draws + b.var() / draws)
             assert abs(a.mean() - b.mean()) < 5 * se, moment
+
+
+    def test_merges_atoms_only_for_covariate_free_losses(self):
+        labeled, base, _ = generate_scenario(ScenarioSpec("monotone-distortion", n=60,
+                                                          n_unlabeled=90, seed=3))
+        config = PriorConfig(gamma=1.0, rectifier=QuantileMap(), strategy=Fixed())
+        rect = apply_rectifier(fit_rectifier(QuantileMap(), labeled, base), base)
+        distinct = np.unique(rect.outcomes.values).size
+        assert plan_run(labeled, base, MeanLoss(), config).rect.k == distinct < base.k
+        assert plan_run(labeled, base, LinearRegressionLoss(), config).rect.k == base.k
+        assert np.unique(base.outcomes.values).size == base.k
+        assert plan_run(labeled, base, MeanLoss(), PriorConfig(gamma=1.0)).rect is base
 
 
 class TestConfigValidation:

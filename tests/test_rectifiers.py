@@ -308,6 +308,13 @@ class TestApplyAndDiscrepancy:
         assert np.array_equal(out.weights, base.weights)
         assert np.array_equal(out.covariates, base.covariates)
 
+    def test_uniform_weights_kept_exactly(self):
+        # renormalizing on apply moved a uniform base's weights off 1/k by an ulp
+        rng = np.random.default_rng(9)
+        base = real_base(rng.normal(size=5000))
+        r = fit_quantile_map(rng.normal(size=50), rng.normal(size=50))
+        assert np.array_equal(apply_rectifier(r, base).weights, base.weights)
+
     def test_discrepancy_zero_for_same_measure(self):
         base = real_base([1.0, 2.0, 3.0])
         assert score_discrepancy(base, base, MeanLoss(), [0.7])[0] == 0.0
