@@ -255,7 +255,6 @@ class TestSerialization:
         assert STRATEGIES[args.strategy] is strategy
 
     def test_parse_run_round_trips(self):
-        labeled, base = make_real_data()
         config = PriorConfig(gamma=1.0, draws=4, strategy=Split(), rectifier=QuantileMap(), seed=5)
         samples = np.random.default_rng(1).normal(size=(3, 2))
         run = PosteriorRun(samples=samples, point=samples.mean(axis=0),
@@ -330,7 +329,6 @@ class TestRunPlan:
             a, b = engine**moment, exact**moment
             se = np.sqrt(a.var() / draws + b.var() / draws)
             assert abs(a.mean() - b.mean()) < 5 * se, moment
-
 
     def test_merges_atoms_only_for_covariate_free_losses(self):
         labeled, base, _ = generate_scenario(ScenarioSpec("monotone-distortion", n=60,
