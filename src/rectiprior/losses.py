@@ -172,7 +172,7 @@ class MultinomialLogisticLoss(_Classifier):
         return np.einsum("ic,id->icd", resid, _with_intercept(X)).reshape(len(y), -1)
 
     def hessian(self, theta, X, w):
-        return _logistic_hessian(_with_intercept(X), softmax(self.logits(theta, X), axis=1), w)
+        return _logistic_hessian(_with_intercept(X).T, softmax(self.logits(theta, X), axis=1).T, w)
 
     def solve(self, X, y, w):
         return _solve_logistic(_with_intercept(X), y.values, w, self.num_classes,
@@ -323,13 +323,20 @@ def mean_score(spec: LossSpec, theta, X, y: Outcomes, weights=None) -> np.ndarra
 
 
 def _logistic_hessian(f, p, w):
-    """sum_i w_i (diag(p_i) - p_i p_i^T) kron f_i f_i^T for features f and probabilities p."""
-    c = p.shape[1]
-    s = -np.einsum("i,ia,ic->iac", w, p, p)
+    """sum_i w_i (diag(p_i) - p_i p_i^T) kron f_i f_i^T for features f and probabilities p.
+
+    f and p have one column per atom.  Two matrix products on the columns
+    p_i kron f_i scaled by w_i: with those columns they give the
+    outer-product part, with f the C diagonal blocks sum_i w_i p_ia f_i f_i^T.
+    """
+    df, n = f.shape
+    c = p.shape[0]
+    pf = (p[:, None, :] * f).reshape(c * df, n)
+    pfw = pf * w
+    hess = -(pfw @ pf.T)
     eye = np.arange(c)
-    s[:, eye, eye] += w[:, None] * p
-    d = c * f.shape[1]
-    return np.einsum("iac,ib,id->abcd", s, f, f).reshape(d, d)
+    hess.reshape(c, df, c, df)[eye, :, eye, :] += (pfw @ f.T).reshape(c, df, df)
+    return hess
 
 
 def mean_hessian(spec: LossSpec, theta, X, y: Outcomes, weights=None) -> np.ndarray:
@@ -415,28 +422,42 @@ _NEWTON_CAP = 100
 _NEWTON_TOL = 1e-8
 
 
+def _log_sum_exp(z):
+    """Log-sum-exp over the classes of logits z, one column per atom, and
+    their softmax, from one exp shifted by each column's maximum."""
+    top = z.max(axis=0)
+    e = np.exp(z - top)
+    total = e.sum(axis=0)
+    return top + np.log(total), e / total
+
+
 def _solve_logistic(f, labels, w, num_classes, ridge):
     """Damped Newton on ridge-regularized weighted cross-entropy.
 
     f is the feature matrix (intercept column included by the caller);
     weights are normalized to sum to one so the ridge has a fixed meaning.
+    Features, logits and probabilities are kept with one column per atom,
+    and the probabilities of each accepted line-search point feed the next
+    gradient and Hessian.
     """
     w = w / w.sum()
     n, df = f.shape
     d = num_classes * df
+    f = np.ascontiguousarray(f.T)
     theta = np.zeros(d)
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), labels] = 1.0
+    label_logit = labels * n + np.arange(n)
+    onehot = np.zeros((num_classes, n))
+    onehot.flat[label_logit] = 1.0
 
     def objective(t):
-        z = f @ t.reshape(num_classes, df).T
-        return float(w @ (logsumexp(z, axis=1) - z[np.arange(n), labels]) + 0.5 * ridge * t @ t)
+        """Objective at t and the class probabilities there."""
+        z = t.reshape(num_classes, df) @ f
+        lse, p = _log_sum_exp(z)
+        return float(w @ (lse - z.take(label_logit)) + 0.5 * ridge * t @ t), p
 
-    obj = objective(theta)
+    obj, p = objective(theta)
     for it in range(_NEWTON_CAP + 1):
-        z = f @ theta.reshape(num_classes, df).T
-        p = softmax(z, axis=1)
-        grad = np.einsum("ic,id->cd", w[:, None] * (p - onehot), f).ravel() + ridge * theta
+        grad = (((p - onehot) * w) @ f.T).ravel() + ridge * theta
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= _NEWTON_TOL:
             return theta
@@ -444,17 +465,17 @@ def _solve_logistic(f, labels, w, num_classes, ridge):
             raise ConvergenceError(f"logistic solver stalled at gradient norm {gnorm:.3e}",
                                    grad_norm=gnorm)
         hess = _logistic_hessian(f, p, w)
-        hess[np.diag_indices(d)] += ridge
+        hess[np.diag_indices(d)] += ridge + 1e-12
         try:
-            step = np.linalg.solve(hess + 1e-12 * np.eye(d), -grad)
+            step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError as exc:
             raise RankDeficiencyError("singular Hessian in logistic solve") from exc
         t = 1.0
         for _ in range(40):
             cand = theta + t * step
-            cand_obj = objective(cand)
+            cand_obj, cand_p = objective(cand)
             if cand_obj <= obj + 1e-4 * t * (grad @ step):
-                theta, obj = cand, cand_obj
+                theta, obj, p = cand, cand_obj, cand_p
                 break
             t *= 0.5
         else:

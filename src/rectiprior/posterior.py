@@ -8,7 +8,7 @@ yields identical output because no draw shares mutable state.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from io import StringIO
 
 import numpy as np
@@ -271,12 +271,19 @@ def _vec(a):
     return " ".join(repr(float(v)) for v in np.asarray(a, dtype=float).ravel())
 
 
+def _spec_tokens(key: str, spec) -> str:
+    """`key=tag` followed by one `key.field=value` token per dataclass field."""
+    return " ".join([f"{key}={spec.tag}"] +
+                    [f"{key}.{f.name}={getattr(spec, f.name)!r}" for f in fields(spec)])
+
+
 def serialize_run(run: PosteriorRun) -> str:
     out = StringIO()
     cfg = run.config
     out.write(_FORMAT_TAG + "\n")
     out.write(f"config gamma={cfg.gamma!r} draws={cfg.draws} level={cfg.level!r} "
-              f"strategy={cfg.strategy.tag} rectifier={cfg.rectifier.tag} seed={cfg.seed}\n")
+              f"{_spec_tokens('strategy', cfg.strategy)} {_spec_tokens('rectifier', cfg.rectifier)} "
+              f"seed={cfg.seed}\n")
     i = 0
     for b, status in enumerate(run.statuses):
         if status == "ok":
@@ -294,36 +301,45 @@ def _record(line: str, head: str) -> dict:
     word, *tokens = line.split() or [""]
     if word != head:
         raise ParameterError(f"expected a {head} line")
-    fields, values = {}, None
+    record, values = {}, None
     for token in tokens:
         key, eq, value = token.partition("=")
         if eq:
-            values = fields[key] = [value]
+            values = record[key] = [value]
         elif values is None:
             raise ParameterError(f"{head} line value without a key")
         else:
             values.append(token)
-    return fields
+    return record
 
 
-def _scalar(fields: dict, key: str, kind):
-    (value,) = fields[key]
+def _scalar(record: dict, key: str, kind):
+    (value,) = record[key]
     return kind(value)
 
 
-def _spec(table: dict, fields: dict, key: str):
-    tag = _scalar(fields, key, str)
+def _spec(table: dict, record: dict, key: str):
+    """The spec named by `key=tag`, its fields read from `key.field=value`
+    tokens; a field without a token keeps its default."""
+    tag = _scalar(record, key, str)
     if tag not in table:
         raise ParameterError(f"unknown {key} tag {tag!r}")
-    return table[tag]()
+    cls = table[tag]
+    names = {f"{key}.{f.name}": f.name for f in fields(cls)}
+    unknown = sorted(k for k in record if k.startswith(key + ".") and k not in names)
+    if unknown:
+        raise ParameterError(f"{tag} {key} has no field {unknown[0]!r}")
+    return cls(**{name: _scalar(record, token, float)
+                  for token, name in names.items() if token in record})
 
 
 def parse_run(text: str) -> PosteriorRun:
     """Read back a `serialize_run` document.
 
-    The document names the strategy and the rectifier by tag only, so the
-    config comes back with their default parameters (the ones the CLI uses)
-    and one thread.  A malformed document raises `ParameterError`.
+    The strategy and the rectifier are rebuilt from their tags and their
+    `strategy.<field>`/`rectifier.<field>` tokens; a document without those
+    tokens gets the default parameters.  The config comes back with one
+    thread.  A malformed document raises `ParameterError`.
     """
     lines = text.splitlines()
     if len(lines) < 3 or lines[0] != _FORMAT_TAG:

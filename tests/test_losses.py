@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import softmax
 
 from rectiprior.exceptions import CapabilityError, OutcomeTypeError, RankDeficiencyError
 from rectiprior.losses import (
@@ -14,7 +15,9 @@ from rectiprior.losses import (
     hessian,
     loss_value,
     loss_values,
+    mean_hessian,
     score,
+    scores,
     solve_weighted,
     theta_dim,
     weighted_quantile,
@@ -34,6 +37,17 @@ def brute_force_weighted_quantile(values, weights, tau):
         if loss < best_loss - 1e-12:
             best_q, best_loss = q, loss
     return best_q
+
+
+def einsum_logistic_hessian(f, p, w):
+    """Reference: sum_i w_i (diag(p_i) - p_i p_i^T) kron f_i f_i^T, written
+    term by term as one einsum over atoms."""
+    c = p.shape[1]
+    s = -np.einsum("i,ia,ic->iac", w, p, p)
+    eye = np.arange(c)
+    s[:, eye, eye] += w[:, None] * p
+    d = c * f.shape[1]
+    return np.einsum("iac,ib,id->abcd", s, f, f).reshape(d, d)
 
 
 class TestLossValues:
@@ -87,6 +101,22 @@ class TestHessians:
             e[j] = eps
             h_fd[:, j] = (score(spec, theta + e, x, y) - score(spec, theta - e, x, y)) / (2 * eps)
         assert np.max(np.abs(h_analytic - h_fd)) < 1e-6
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 5])
+    @pytest.mark.parametrize("d_x", [0, 1, 3])
+    def test_logistic_matches_einsum_definition(self, num_classes, d_x):
+        rng = np.random.default_rng(10 * num_classes + d_x)
+        n = 40
+        spec = MultinomialLogisticLoss(num_classes=num_classes)
+        theta = rng.normal(size=theta_dim(spec, d_x))
+        x = rng.normal(size=(n, d_x))
+        w = rng.exponential(size=n)
+        y = Outcomes.classes(rng.integers(0, num_classes, size=n), num_classes)
+        f = np.column_stack([np.ones(n), x])
+        p = softmax(f @ theta.reshape(num_classes, -1).T, axis=1)
+        want = einsum_logistic_hessian(f, p, w / w.sum())
+        got = mean_hessian(spec, theta, x, y, weights=w)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_nonsmooth_rejected(self):
         with pytest.raises(CapabilityError):
@@ -193,6 +223,35 @@ class TestSolvers:
         got = theta.reshape(2, 2)[1] - theta.reshape(2, 2)[0]
         want = ref.reshape(2, 2)[1] - ref.reshape(2, 2)[0]
         assert np.max(np.abs(got - want)) < 1e-4
+
+    def test_logistic_solution_is_stationary(self):
+        # the weighted mean score plus the ridge term vanishes at the solution
+        rng = np.random.default_rng(11)
+        n, ridge = 2500, 1e-3
+        x = rng.normal(size=(n, 2))
+        labels = np.argmax(x @ np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+                           + rng.gumbel(size=(n, 3)), axis=1)
+        y = Outcomes.classes(labels, 3)
+        w = rng.exponential(size=n)
+        spec = MultinomialLogisticLoss(num_classes=3, ridge=ridge)
+        theta = solve_weighted(WeightedProblem(x, y, w, spec))
+        grad = w @ scores(spec, theta, x, y) / w.sum() + ridge * theta
+        assert np.linalg.norm(grad) <= 1e-8
+
+    def test_logistic_large_logits_do_not_overflow(self):
+        # separable classes on features of scale 1e3: the solution's logits
+        # reach about 1e3, where an unshifted exp overflows
+        rng = np.random.default_rng(2)
+        n = 300
+        x = 1e3 * rng.normal(size=(n, 2))
+        labels = np.argmax(x @ np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]), axis=1)
+        spec = MultinomialLogisticLoss(num_classes=3, ridge=1e-2)
+        with np.errstate(over="raise"):
+            theta = solve_weighted(WeightedProblem(x, Outcomes.classes(labels, 3),
+                                                   rng.exponential(size=n), spec))
+        logits = np.column_stack([np.ones(n), x]) @ theta.reshape(3, -1).T
+        assert np.all(np.isfinite(theta))
+        assert np.max(np.abs(logits)) > 500
 
     def test_mlp_deterministic_and_converging(self):
         rng = np.random.default_rng(9)

@@ -254,19 +254,48 @@ class TestSerialization:
         assert RECTIFIERS[args.rectifier] is rectifier
         assert STRATEGIES[args.strategy] is strategy
 
-    def test_parse_run_round_trips(self):
-        config = PriorConfig(gamma=1.0, draws=4, strategy=Split(), rectifier=QuantileMap(), seed=5)
+    @staticmethod
+    def _run_with(strategy, rectifier):
+        config = PriorConfig(gamma=1.0, draws=4, strategy=strategy, rectifier=rectifier, seed=5)
         samples = np.random.default_rng(1).normal(size=(3, 2))
-        run = PosteriorRun(samples=samples, point=samples.mean(axis=0),
-                           intervals=np.column_stack([samples.min(axis=0), samples.max(axis=0)]),
-                           level=0.9, config=config,
-                           statuses=("ok", "draw 1: singular weighted normal equations", "ok", "ok"))
-        back = parse_run(serialize_run(run))
-        assert back.config == config
-        assert back.statuses == run.statuses
-        for name in ("samples", "point", "intervals"):
-            assert np.array_equal(getattr(back, name), getattr(run, name)), name
-        assert back.level == run.level
+        return PosteriorRun(samples=samples, point=samples.mean(axis=0),
+                            intervals=np.column_stack([samples.min(axis=0), samples.max(axis=0)]),
+                            level=0.9, config=config,
+                            statuses=("ok", "draw 1: singular weighted normal equations", "ok", "ok"))
+
+    def test_parse_run_round_trips(self):
+        for strategy, rectifier in [(Split(), QuantileMap()),
+                                    (Split(0.3), ProbRecalib(ridge=1e-2, clamp=1e-3))]:
+            run = self._run_with(strategy, rectifier)
+            back = parse_run(serialize_run(run))
+            assert back.config == run.config
+            assert back.statuses == run.statuses
+            for name in ("samples", "point", "intervals"):
+                assert np.array_equal(getattr(back, name), getattr(run, name)), name
+            assert back.level == run.level
+
+    def test_parse_run_without_spec_fields_uses_defaults(self):
+        # documents written before the spec fields were recorded name the
+        # strategy and the rectifier by tag only
+        text = serialize_run(self._run_with(Split(0.3), ProbRecalib(ridge=1e-2, clamp=1e-3)))
+        for token in (" strategy.fraction=0.3", " rectifier.ridge=0.01", " rectifier.clamp=0.001"):
+            assert token in text
+            text = text.replace(token, "", 1)
+        back = parse_run(text)
+        assert back.config.strategy == Split()
+        assert back.config.rectifier == ProbRecalib()
+
+    @pytest.mark.parametrize("old,new", [
+        ("strategy.fraction=0.3", "strategy.fracton=0.3"),
+        ("strategy.fraction=0.3", "strategy.fraction=1.3"),
+        ("rectifier.ridge=0.01", "rectifier.ridge=high"),
+        ("rectifier.clamp=0.001", "rectifier.clamp=0.001 0.002"),
+    ])
+    def test_parse_run_rejects_malformed_spec_fields(self, old, new):
+        text = serialize_run(self._run_with(Split(0.3), ProbRecalib(ridge=1e-2, clamp=1e-3)))
+        assert old in text
+        with pytest.raises(ParameterError):
+            parse_run(text.replace(old, new, 1))
 
     @pytest.mark.parametrize("old,new", [
         ("rectiprior-posterior-v1", "rectiprior-posterior-v0"),
