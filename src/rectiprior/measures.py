@@ -231,15 +231,19 @@ def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
     w = None if base_weights is None else np.asarray(base_weights, dtype=float)
     if w is not None and w.shape != (k,):
         raise ParameterError("need one base weight per atom")
+    gen = rng.generator()
+    # Gamma(1) is the standard exponential, and a scalar shape draws the same
+    # variates as an array of it, so two calls give the stream of one
+    # `gamma` over the concatenated shapes; `standard_gamma` skips the unit
+    # scale's broadcast.
+    labeled_g = gen.standard_exponential(n)
     if w is None or np.all(w == w[0]):
         # Equal weights are 1/k up to rounding; alpha/k keeps every shape
         # exact (exactly 1 when alpha = k, which the generator draws fastest).
-        base_shapes = np.full(k, alpha / k)
+        base_g = gen.standard_gamma(alpha / k, size=k)
     else:
-        base_shapes = alpha * w
-    gen = rng.generator()
-    g = gen.gamma(np.concatenate([np.ones(n), base_shapes]))
-    g = np.maximum(g, np.finfo(float).tiny)
+        base_g = gen.standard_gamma(alpha * w)
+    g = np.maximum(np.concatenate([labeled_g, base_g]), np.finfo(float).tiny)
     g = g / g.sum()
     return DirichletWeights(labeled_w=g[:n], base_w=g[n:])
 
@@ -248,8 +252,7 @@ def sample_uniform_dirichlet(n: int, rng: RngStream) -> np.ndarray:
     """Flat Dirichlet(1,...,1) over n rows; the Bayesian bootstrap weight law."""
     if n < 1:
         raise ParameterError("n must be positive")
-    g = rng.generator().gamma(1.0, size=n)
-    g = np.maximum(g, np.finfo(float).tiny)
+    g = np.maximum(rng.generator().standard_exponential(n), np.finfo(float).tiny)
     return g / g.sum()
 
 
@@ -258,10 +261,19 @@ def empirical_measure(sample: LabeledSample) -> AtomicMeasure:
     return AtomicMeasure(sample.covariates, sample.outcomes, np.full(sample.n, 1.0 / sample.n))
 
 
+def _bootstrap_rows(n: int, rng: RngStream) -> np.ndarray:
+    return rng.generator().integers(0, n, size=n)
+
+
 def resample_nonparametric_bootstrap(sample: LabeledSample, rng: RngStream) -> LabeledSample:
     """n rows drawn i.i.d. uniformly with replacement from the input sample."""
-    idx = rng.generator().integers(0, sample.n, size=sample.n)
-    return sample.take(idx)
+    return sample.take(_bootstrap_rows(sample.n, rng))
+
+
+def bootstrap_counts(n: int, rng: RngStream) -> np.ndarray:
+    """How often each of n rows falls in the resample that
+    `resample_nonparametric_bootstrap` draws from the same stream."""
+    return np.bincount(_bootstrap_rows(n, rng), minlength=n)
 
 
 def realize_class_labels(base: AtomicMeasure, rng: RngStream) -> AtomicMeasure:

@@ -9,10 +9,12 @@ from rectiprior.measures import (
     LabeledSample,
     Outcomes,
     RngStream,
+    bootstrap_counts,
     empirical_measure,
     realize_class_labels,
     resample_nonparametric_bootstrap,
     sample_dirichlet_weights,
+    sample_uniform_dirichlet,
 )
 
 
@@ -62,6 +64,25 @@ class TestDirichletWeights:
         assert np.array_equal(a.labeled_w, b.labeled_w)
         assert np.array_equal(a.base_w, b.base_w)
 
+    @pytest.mark.parametrize("weights", [None, "equal", "unequal"])
+    def test_matches_one_gamma_call_over_all_shapes(self, weights):
+        # the labeled and base blocks are drawn by two calls; they must give
+        # the stream of a single gamma call over the concatenated shapes
+        n, k, alpha = 50, 40, 23.0
+        w = {None: None, "equal": np.full(k, 1 / k),
+             "unequal": np.random.default_rng(0).dirichlet(np.ones(k))}[weights]
+        shapes = np.full(k, alpha / k) if w is None or weights == "equal" else alpha * w
+        for seed in range(5):
+            rng = RngStream(seed, (3,))
+            g = rng.generator().gamma(np.concatenate([np.ones(n), shapes]))
+            g = np.maximum(g, np.finfo(float).tiny)
+            g = g / g.sum()
+            dw = sample_dirichlet_weights(n, k, alpha, rng, w)
+            assert np.array_equal(dw.labeled_w, g[:n])
+            assert np.array_equal(dw.base_w, g[n:])
+            flat = rng.generator().gamma(np.ones(n))
+            assert np.array_equal(sample_uniform_dirichlet(n, rng), flat / flat.sum())
+
     @pytest.mark.parametrize("n,k,alpha", [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0), (1, 1, -2.0)])
     def test_parameter_errors(self, n, k, alpha):
         with pytest.raises(ParameterError):
@@ -107,6 +128,13 @@ class TestBootstrapResample:
         a = resample_nonparametric_bootstrap(s, RngStream(5, (2,)))
         b = resample_nonparametric_bootstrap(s, RngStream(5, (2,)))
         assert np.array_equal(a.outcomes.values, b.outcomes.values)
+
+    def test_counts_match_resample(self):
+        s = LabeledSample(np.zeros((30, 1)), Outcomes.real(np.arange(30.0)))
+        for b in range(20):
+            rows = resample_nonparametric_bootstrap(s, RngStream(4, (b,))).outcomes.values
+            counts = bootstrap_counts(30, RngStream(4, (b,)))
+            assert np.array_equal(counts, np.bincount(rows.astype(int), minlength=30))
 
     def test_carries_imputations(self):
         s = LabeledSample(np.zeros((5, 1)), Outcomes.real(np.arange(5.0)),
