@@ -114,7 +114,8 @@ def _add_common(p):
     p.add_argument("--level", type=float, default=0.9)
     p.add_argument("--replications", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for older configurations; results do not depend on it")
     p.add_argument("--out", help="output file path (or prefix for generate)")
     p.add_argument("--config", help="flat key = value config file; flags take precedence")
 

@@ -334,7 +334,8 @@ class RunConfig:
 
     Exactly one of scenario or (labeled, base) must be given.  In data mode
     each replication subsamples n labeled rows without replacement from the
-    provided pool, and the truth defaults to the full-pool ERM.
+    provided pool, and the truth defaults to the full-pool ERM.  `threads`
+    is passed to every run's `PriorConfig` and does not affect results.
     """
 
     loss: LossSpec

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .exceptions import (
     CapabilityError,
@@ -69,7 +68,7 @@ class _Classifier(LossSpec):
 
     def values(self, theta, X, y):
         z = self.logits(theta, X)
-        return logsumexp(z, axis=1) - z[np.arange(len(y)), y.values]
+        return _log_sum_exp(z.T)[0] - z[np.arange(len(y)), y.values]
 
 
 @dataclass(frozen=True)
@@ -164,15 +163,17 @@ class MultinomialLogisticLoss(_Classifier):
         return self.num_classes * (d_x + 1)
 
     def logits(self, theta, X):
-        return _with_intercept(X) @ theta.reshape(self.num_classes, -1).T
+        # one row per atom, as a view of the classes-by-atoms product that
+        # _log_sum_exp reduces over columns
+        return (theta.reshape(self.num_classes, -1) @ _with_intercept(X).T).T
 
     def scores(self, theta, X, y):
-        resid = softmax(self.logits(theta, X), axis=1)
+        resid = _log_sum_exp(self.logits(theta, X).T)[1].T
         resid[np.arange(len(y)), y.values] -= 1.0
         return np.einsum("ic,id->icd", resid, _with_intercept(X)).reshape(len(y), -1)
 
     def hessian(self, theta, X, w):
-        return _logistic_hessian(_with_intercept(X).T, softmax(self.logits(theta, X), axis=1).T, w)
+        return _logistic_hessian(_with_intercept(X).T, _log_sum_exp(self.logits(theta, X).T)[1], w)
 
     def solve(self, X, y, w):
         return _solve_logistic(_with_intercept(X), y.values, w, self.num_classes,
@@ -223,7 +224,7 @@ class MlpLoss(_Classifier):
         n = X.shape[0]
         _, _, w2, _ = self._unpack(theta, X.shape[1])
         a, hid, z = self._forward(theta, X)
-        dz = softmax(z, axis=1)
+        dz = _log_sum_exp(z.T)[1].T
         dz[np.arange(n), y.values] -= 1.0
         mask = (a > 0).astype(float)
         if w is None:
@@ -291,7 +292,7 @@ def _need(y: Outcomes, spec: LossSpec):
 
 def predict_probs(spec: LossSpec, theta, X) -> np.ndarray:
     theta = _check_theta(spec, theta, X.shape[1])
-    return softmax(spec.logits(theta, X), axis=1)
+    return _log_sum_exp(spec.logits(theta, X).T)[1].T
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Posterior bootstrap engine: Dirichlet weighting, per-draw rectifier
-refitting, parallel weighted solves, and credible intervals.
+refitting, weighted solves, and credible intervals.
 
-Draw b uses the random stream (seed, run_path + (b,)); any worker-pool size
-yields identical output because no draw shares mutable state.
+Draw b uses the random stream (seed, run_path + (b,)) and shares no mutable
+state with other draws, so a run's output depends on its seed alone.  Draws
+run one after another: each is a few dozen short numpy calls, which extra
+threads would only contend on the interpreter lock for.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from io import StringIO
 
@@ -33,9 +34,11 @@ from .rectifiers import (
     Fixed,
     Identity,
     RectifierSpec,
+    SortedPairs,
     apply_rectifier,
     fit_rectifier,
     make_calibration_sample,
+    rectify_levels,
 )
 
 _MAX_FAILURE_FRACTION = 0.05
@@ -46,7 +49,9 @@ class PriorConfig:
     """Configuration of a posterior bootstrap run.
 
     gamma is the prior strength alpha / n; gamma = 0 ignores the base
-    measure entirely and recovers the Bayesian bootstrap.
+    measure entirely and recovers the Bayesian bootstrap.  threads must be
+    positive and does not affect results or how draws run; it is kept so
+    that existing configurations still load.
     """
 
     gamma: float
@@ -97,12 +102,15 @@ class RunPlan:
     A field left None is built by each draw from its own random stream.
     `rect` is the rectified base; `covariates` stacks the inference rows
     over the base atoms; `outcomes` concatenates the inference outcomes and
-    the rectified base's.
+    the rectified base's.  `pairs` holds the sorted outcomes that a draw
+    merging the base into a step rectifier's levels reads (see
+    `_merges_levels`).
     """
 
     rect: AtomicMeasure | None = None
     covariates: np.ndarray | None = None
     outcomes: Outcomes | None = None
+    pairs: SortedPairs | None = None
 
 
 def _realizes_labels(rect: AtomicMeasure, loss: LossSpec) -> bool:
@@ -114,6 +122,37 @@ def _rectifies_once(config: PriorConfig) -> bool:
     calibration sample or the strategy calibrates on the whole labeled
     sample every time."""
     return not (config.strategy.random_calibration and config.rectifier.calibrated)
+
+
+def _merges_levels(labeled: LabeledSample, base: AtomicMeasure, loss: LossSpec,
+                   config: PriorConfig) -> bool:
+    """Whether each draw rectifies the base straight into the levels of a
+    step rectifier refit on that draw, with the atoms of each level merged.
+
+    As in `_merge_atoms` the law is unchanged for a loss that reads no
+    covariates.  A step rectifier fit on the labeled rows has at most one
+    level per row, so merging is sure to shrink the draw only when the base
+    has more atoms than there are labeled rows; a smaller base is rectified
+    atom by atom.
+    """
+    return (config.strategy.random_calibration and config.rectifier.stepwise
+            and not loss.reads_covariates and base.k > labeled.n)
+
+
+def _rectify_levels(labeled: LabeledSample, base: AtomicMeasure, config: PriorConfig,
+                    rng: RngStream, pairs: SortedPairs):
+    """A draw's inference sample and its base rectified into merged levels.
+
+    A strategy that gives its calibration sample as counts per labeled row
+    is fit from them on the rows sorted once per run.
+    """
+    counts = config.strategy.counts(labeled.n, rng)
+    if counts is None:
+        calib, inference = make_calibration_sample(labeled, config.strategy, rng)
+        fitted = fit_rectifier(config.rectifier, calib, base)
+    else:
+        inference, fitted = labeled, config.rectifier.fit_counts(pairs, counts)
+    return inference, rectify_levels(fitted, pairs)
 
 
 def _merge_atoms(rect: AtomicMeasure, loss: LossSpec) -> AtomicMeasure:
@@ -149,6 +188,8 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
     """
     if config.gamma == 0.0 or base is None:
         return RunPlan()
+    if _merges_levels(labeled, base, loss, config):
+        return RunPlan(pairs=SortedPairs.of(labeled, base))
     rect = None
     if _rectifies_once(config):
         rect = apply_rectifier(fit_rectifier(config.rectifier, labeled, base), base)
@@ -169,7 +210,8 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
 
     Steps: build the calibration/inference split, fit the rectifier and
     rectify the base measure (merging atoms as `plan_run` does when the
-    rectified base is fixed), realize class labels when the base carries
+    rectified base is fixed, or into a step rectifier's levels when
+    `_merges_levels`), realize class labels when the base carries
     probability atoms, sample the conjugate Dirichlet weights (alpha =
     gamma * n, spread over the atoms by their weights), and solve the
     combined weighted problem.  Steps whose result `plan` (from `plan_run`)
@@ -186,7 +228,10 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     plan = plan or RunPlan()
     rect, covs, outs = plan.rect, plan.covariates, plan.outcomes
     inference = labeled
-    if rect is None or covs is None:
+    if _merges_levels(labeled, base, loss, config):
+        inference, rect = _rectify_levels(labeled, base, config, rng.child(0),
+                                          plan.pairs or SortedPairs.of(labeled, base))
+    elif rect is None or covs is None:
         calib, inference = make_calibration_sample(labeled, config.strategy, rng.child(0))
         if rect is None:
             rect = apply_rectifier(fit_rectifier(config.rectifier, calib, base), base)
@@ -210,7 +255,8 @@ def run_posterior(labeled: LabeledSample, base: AtomicMeasure | None, loss: Loss
                   config: PriorConfig) -> PosteriorRun:
     """Draw config.draws posterior bootstrap samples and summarize them.
 
-    What no draw changes (see `plan_run`) is built once before the draws.
+    What no draw changes (see `plan_run`) is built once before the draws,
+    which then run one after another.
     Under Split and Npb a calibrated rectifier is refit per draw so
     rectifier uncertainty propagates into the posterior.  A draw fails on a
     numerical error (rank deficiency or non-convergence); runs with more
@@ -225,11 +271,7 @@ def run_posterior(labeled: LabeledSample, base: AtomicMeasure | None, loss: Loss
         except (RankDeficiencyError, ConvergenceError) as exc:
             return None, f"draw {b}: {exc}"
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one, range(config.draws)))
-    else:
-        results = [one(b) for b in range(config.draws)]
+    results = [one(b) for b in range(config.draws)]
 
     statuses = tuple(status for _, status in results)
     thetas = [theta for theta, _ in results if theta is not None]

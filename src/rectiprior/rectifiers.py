@@ -16,10 +16,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import isotonic_regression
-from scipy.special import softmax
 
 from .exceptions import OutcomeTypeError, ParameterError
-from .losses import LossSpec, _solve_logistic, mean_score
+from .losses import LossSpec, _log_sum_exp, _solve_logistic, mean_score
 from .measures import (
     CLASS,
     PROBS,
@@ -28,6 +27,7 @@ from .measures import (
     LabeledSample,
     Outcomes,
     RngStream,
+    bootstrap_counts,
     resample_nonparametric_bootstrap,
 )
 
@@ -36,10 +36,13 @@ class RectifierSpec:
     """Behaviour shared by every rectifier spec.
 
     `calibrated` is False for a rectifier whose fit ignores the calibration
-    sample, so that one fit serves every posterior draw.
+    sample, so that one fit serves every posterior draw.  `stepwise` is True
+    for a step function of the base outcome, whose rectified base has one
+    outcome per step it reaches (see `_StepMap`).
     """
 
     calibrated = True
+    stepwise = False
 
     def load_state(self, arrays: dict) -> dict:
         """Fitted state from the flat arrays of its serialized form."""
@@ -51,6 +54,39 @@ class _RealMap(RectifierSpec):
 
     def apply(self, state, base: AtomicMeasure) -> AtomicMeasure:
         return base.with_outcomes(Outcomes.real(self._map(state, _base_real_values(base))))
+
+
+class _StepMap(_RealMap):
+    """Real maps that are step functions of the base outcome.
+
+    `_steps(state)` gives the function as nondecreasing cut points, the value
+    on each of the len(cuts) + 1 intervals they bound, and the `searchsorted`
+    side that puts an outcome into its interval; `_map` and `levels` both
+    read it.
+    """
+
+    stepwise = True
+
+    def _map(self, state, y):
+        cuts, values, side = self._steps(state)
+        return values[np.searchsorted(cuts, y, side=side)]
+
+    def levels(self, state, sorted_y):
+        """The distinct values `_map` takes on the ascending outcomes
+        `sorted_y`, in ascending order, and for each the bounds lo, hi of
+        the run `sorted_y[lo:hi]` it sends there.
+
+        Only cuts between intervals of different value bound a run.  An
+        outcome lies past cut j exactly when `_map`'s search counts it, so
+        the outcomes before cut j are found with the other side.
+        """
+        cuts, values, side = self._steps(state)
+        change = np.flatnonzero(values[1:] != values[:-1])
+        ends = np.searchsorted(sorted_y, cuts[change], side="left" if side == "right" else "right")
+        lo = np.concatenate([[0], ends])
+        hi = np.concatenate([ends, [sorted_y.size]])
+        reached = hi > lo
+        return values[np.concatenate([[0], change + 1])][reached], lo[reached], hi[reached]
 
 
 class _MomentMap(_RealMap):
@@ -73,35 +109,42 @@ class Identity(RectifierSpec):
 
 
 @dataclass(frozen=True)
-class QuantileMap(_RealMap):
+class QuantileMap(_StepMap):
     tag = "quantile-map"
 
     def fit(self, calib, base):
         true, imputed = _paired_real(calib)
         return fit_quantile_map(true, imputed)
 
-    def _map(self, state, y):
-        grid_i, grid_t = state["imputed_grid"], state["true_grid"]
-        m = grid_i.size
-        j = np.searchsorted(grid_i, y, side="right")
-        return grid_t[np.clip(j, 1, m) - 1]
+    def fit_counts(self, pairs, counts):
+        """The fit on the resample holding labeled row i counts[i] times."""
+        t, i = pairs.true_order, pairs.imputed_order
+        return FittedRectifier(self, {"imputed_grid": np.repeat(pairs.imputed[i], counts[i]),
+                                      "true_grid": np.repeat(pairs.true[t], counts[t])})
+
+    def _steps(self, state):
+        # the right-continuous empirical CDF of the imputed grid picks an
+        # order statistic of the true grid; below the grid, the smallest
+        grid_t = state["true_grid"]
+        return state["imputed_grid"], np.concatenate([grid_t[:1], grid_t]), "right"
 
 
 @dataclass(frozen=True)
-class Isotonic(_RealMap):
+class Isotonic(_StepMap):
     tag = "isotonic"
 
     def fit(self, calib, base):
         true, imputed = _paired_real(calib)
         return fit_isotonic(imputed, true)
 
-    def _map(self, state, y):
-        knots, fitted = state["knots"], state["fitted"]
-        if knots.size == 1:
-            return np.full(np.shape(y), fitted[0])
-        mids = 0.5 * (knots[:-1] + knots[1:])
-        idx = np.searchsorted(mids, y, side="left")
-        return fitted[idx]
+    def fit_counts(self, pairs, counts):
+        """The fit on the resample holding labeled row i counts[i] times."""
+        i = pairs.imputed_order
+        return FittedRectifier(self, _pooled_isotonic(pairs.imputed[i], pairs.true[i], counts[i]))
+
+    def _steps(self, state):
+        knots = state["knots"]
+        return 0.5 * (knots[:-1] + knots[1:]), state["fitted"], "left"
 
 
 @dataclass(frozen=True)
@@ -145,8 +188,8 @@ class ProbRecalib(RectifierSpec):
         if base.outcomes.kind != PROBS:
             raise OutcomeTypeError("probability recalibration requires probability outcomes")
         feats = np.column_stack([clamp_log_probs(base.outcomes.values, self.clamp), base.covariates])
-        z = feats @ state["W"].T + state["b"]
-        return base.with_outcomes(Outcomes.probs(softmax(z, axis=1)))
+        z = state["W"] @ feats.T + state["b"][:, None]
+        return base.with_outcomes(Outcomes.probs(_log_sum_exp(z)[1].T))
 
     def load_state(self, arrays):
         b = arrays["b"]
@@ -162,6 +205,11 @@ class CalibrationStrategy:
 
     random_calibration = True
     random_inference = False
+
+    def counts(self, n, rng):
+        """The calibration sample as a count per labeled row, drawn from the
+        stream `split` uses, or None when only `split` builds it."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -199,6 +247,9 @@ class Npb(CalibrationStrategy):
     def split(self, labeled, rng):
         return resample_nonparametric_bootstrap(labeled, rng), labeled
 
+    def counts(self, n, rng):
+        return bootstrap_counts(n, rng)
+
 
 RECTIFIERS = {cls.tag: cls for cls in
               (Identity, QuantileMap, Isotonic, MomentShift, MomentAffine, ProbRecalib)}
@@ -209,6 +260,32 @@ STRATEGIES = {cls.tag: cls for cls in (Fixed, Split, Npb)}
 class FittedRectifier:
     spec: RectifierSpec
     state: dict
+
+
+@dataclass(frozen=True)
+class SortedPairs:
+    """The labeled true and imputed outcomes and the base's, each with the
+    order that sorts it, found once per run.  From them a step rectifier is
+    fit on a resample given as counts per labeled row (`fit_counts`) and its
+    levels on the base are found (`rectify_levels`) without sorting again.
+    `cum_weights` are the base weights summed in sorted order, from 0."""
+
+    true: np.ndarray
+    imputed: np.ndarray
+    true_order: np.ndarray
+    imputed_order: np.ndarray
+    base: AtomicMeasure
+    base_order: np.ndarray
+    base_sorted: np.ndarray
+    cum_weights: np.ndarray
+
+    @classmethod
+    def of(cls, labeled: LabeledSample, base: AtomicMeasure) -> "SortedPairs":
+        true, imputed = _paired_real(labeled)
+        y = _base_real_values(base)
+        order = np.argsort(y, kind="stable")
+        return cls(true, imputed, np.argsort(true, kind="stable"), np.argsort(imputed, kind="stable"),
+                   base, order, y[order], np.concatenate([[0.0], np.cumsum(base.weights[order])]))
 
 
 def make_calibration_sample(labeled: LabeledSample, strategy: CalibrationStrategy,
@@ -258,11 +335,21 @@ def fit_isotonic(calib_imputed, calib_true) -> FittedRectifier:
     y = np.asarray(calib_true, dtype=float)
     if x.size != y.size or x.size < 1:
         raise ParameterError("calibration vectors must be nonempty and of equal length")
-    knots, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    sums = np.zeros(knots.size)
-    np.add.at(sums, inverse, y)
-    fitted = pava(sums / counts, counts.astype(float))
-    return FittedRectifier(Isotonic(), {"knots": knots, "fitted": fitted})
+    order = np.argsort(x, kind="stable")
+    return FittedRectifier(Isotonic(), _pooled_isotonic(x[order], y[order], np.ones(x.size)))
+
+
+def _pooled_isotonic(x, y, counts):
+    """Isotonic state for rows sorted by imputed value x, row i counted
+    counts[i] times: rows of equal x are pooled into one knot weighted by
+    their total count, then PAVA fits the knots' mean true values.  Rows
+    with count 0 are left out."""
+    first = np.concatenate([[True], x[1:] != x[:-1]])
+    knot = np.cumsum(first) - 1
+    mass = np.bincount(knot, weights=counts)
+    sums = np.bincount(knot, weights=counts * y)
+    kept = mass > 0
+    return {"knots": x[first][kept], "fitted": pava(sums[kept] / mass[kept], mass[kept])}
 
 
 def _base_real_values(base: AtomicMeasure):
@@ -339,6 +426,20 @@ def fit_prob_recalib(calib: LabeledSample, spec: ProbRecalib) -> FittedRectifier
 def apply_rectifier(r: FittedRectifier, base: AtomicMeasure) -> AtomicMeasure:
     """Transform every atom's outcome; covariates and weights are unchanged."""
     return r.spec.apply(r.state, base)
+
+
+def rectify_levels(r: FittedRectifier, pairs: SortedPairs) -> AtomicMeasure:
+    """The base rectified by a step rectifier with its atoms of equal outcome
+    merged: one atom per level, holding the summed weight of its atoms and
+    the covariates of the one with the lowest base outcome.
+
+    It has the outcomes `np.unique` finds in `apply_rectifier`'s and their
+    weights up to rounding, without mapping each atom.
+    """
+    values, lo, hi = r.spec.levels(r.state, pairs.base_sorted)
+    weights = pairs.cum_weights[hi] - pairs.cum_weights[lo]
+    return AtomicMeasure(pairs.base.covariates[pairs.base_order[lo]], Outcomes.real(values),
+                         weights / weights.sum())
 
 
 def _paired_real(calib: LabeledSample):

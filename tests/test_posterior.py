@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectiprior.cli import _make_parser
 from rectiprior.harness import ScenarioSpec, generate_scenario
@@ -41,6 +45,18 @@ from rectiprior.rectifiers import (
     apply_rectifier,
     fit_rectifier,
 )
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# values every spec field accepts
+_SPEC_FIELDS = {"fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                "ridge": st.floats(0.0, 1e6), "clamp": st.floats(0.0, 1e-2, exclude_min=True)}
+
+
+def _specs(table):
+    """Every spec class of a tag table, with drawn values for its fields."""
+    return st.one_of(*[st.builds(cls, **{f.name: _SPEC_FIELDS[f.name] for f in fields(cls)})
+                       for cls in table.values()])
 
 
 def make_real_data(n=40, k=20, shift=0.0, seed=0):
@@ -263,16 +279,28 @@ class TestSerialization:
                             level=0.9, config=config,
                             statuses=("ok", "draw 1: singular weighted normal equations", "ok", "ok"))
 
-    def test_parse_run_round_trips(self):
-        for strategy, rectifier in [(Split(), QuantileMap()),
-                                    (Split(0.3), ProbRecalib(ridge=1e-2, clamp=1e-3))]:
-            run = self._run_with(strategy, rectifier)
-            back = parse_run(serialize_run(run))
-            assert back.config == run.config
-            assert back.statuses == run.statuses
-            for name in ("samples", "point", "intervals"):
-                assert np.array_equal(getattr(back, name), getattr(run, name)), name
-            assert back.level == run.level
+    @given(strategy=_specs(STRATEGIES), rectifier=_specs(RECTIFIERS),
+           gamma=st.floats(0.0, 1e6), level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**63), failed=st.lists(st.booleans(), min_size=2, max_size=6),
+           dim=st.integers(1, 3), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_parse_run_round_trips(self, strategy, rectifier, gamma, level, seed, failed, dim, data):
+        def vector(size):
+            return np.array(data.draw(st.lists(_FLOATS, min_size=size, max_size=size)), dtype=float)
+
+        config = PriorConfig(gamma=gamma, draws=len(failed), level=level, strategy=strategy,
+                             rectifier=rectifier, seed=seed)
+        run = PosteriorRun(samples=vector(failed.count(False) * dim).reshape(-1, dim),
+                           point=vector(dim), intervals=vector(2 * dim).reshape(dim, 2),
+                           level=level, config=config,
+                           statuses=tuple(f"draw {b}: singular weighted normal equations" if bad
+                                          else "ok" for b, bad in enumerate(failed)))
+        back = parse_run(serialize_run(run))
+        assert back.config == run.config
+        assert back.statuses == run.statuses
+        for name in ("samples", "point", "intervals"):
+            assert np.array_equal(getattr(back, name), getattr(run, name)), name
+        assert back.level == run.level
 
     def test_parse_run_without_spec_fields_uses_defaults(self):
         # documents written before the spec fields were recorded name the
@@ -326,6 +354,9 @@ class TestRunPlan:
           for strategy in (Fixed(), Npb(), Split(0.5)) for rectifier in (Identity(), QuantileMap())],
         ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Fixed()),
         ("monotone-distortion", QuantileLoss(0.9), Isotonic(), Fixed()),
+        ("monotone-distortion", QuantileLoss(0.5), QuantileMap(), Npb()),
+        ("monotone-distortion", QuantileLoss(0.9), Isotonic(), Npb()),
+        ("monotone-distortion", MeanLoss(), Isotonic(), Split(0.5)),
     ])
     def test_run_matches_from_scratch_draws(self, scenario, loss, rectifier, strategy):
         # what a run builds once must leave every draw bit-identical to the
@@ -358,6 +389,55 @@ class TestRunPlan:
             a, b = engine**moment, exact**moment
             se = np.sqrt(a.var() / draws + b.var() / draws)
             assert abs(a.mean() - b.mean()) < 5 * se, moment
+
+    @pytest.mark.parametrize("rectifier,loss", [(QuantileMap(), MeanLoss()),
+                                                (Isotonic(), QuantileLoss(0.9))],
+                             ids=["quantile-map-mean", "isotonic-quantile"])
+    def test_merged_levels_follow_unmerged_law(self, rectifier, loss):
+        # each draw merges its rectified base into the rectifier's levels;
+        # its draws must follow the law of Dirichlet weights over the
+        # unmerged atoms, with a resample and a rectifier fit of their own.
+        # The base sits above the labeled imputations, so its levels carry
+        # very unequal mass.
+        rng = np.random.default_rng(4)
+        n, k, gamma, draws = 30, 80, 1.0, 3000
+        y = rng.normal(size=n)
+        labeled = LabeledSample(np.zeros((n, 1)), Outcomes.real(y),
+                                Outcomes.real(y + 0.5 * rng.normal(size=n)))
+        base = AtomicMeasure(np.zeros((k, 1)), Outcomes.real(1.0 + 0.5 * rng.normal(size=k)))
+        config = PriorConfig(gamma=gamma, draws=draws, rectifier=rectifier, strategy=Npb(), seed=8)
+        assert plan_run(labeled, base, loss, config).pairs is not None
+        engine = run_posterior(labeled, base, loss, config).samples[:, 0]
+        gen = np.random.default_rng(8)
+        covs = np.vstack([labeled.covariates, base.covariates])
+        exact = np.empty(draws)
+        for b in range(draws):
+            calib = labeled.take(gen.integers(0, n, n))
+            rect = apply_rectifier(fit_rectifier(rectifier, calib, base), base)
+            w = gen.dirichlet(np.concatenate([np.ones(n), np.full(k, gamma * n / k)]))
+            problem = WeightedProblem(covs, Outcomes.concat(labeled.outcomes, rect.outcomes),
+                                      np.maximum(w, np.finfo(float).tiny), loss)
+            exact[b] = solve_weighted(problem)[0]
+        for moment in (1, 2):
+            a, b = engine**moment, exact**moment
+            se = np.sqrt(a.var() / draws + b.var() / draws)
+            assert abs(a.mean() - b.mean()) < 5 * se, moment
+
+    def test_merges_levels_only_for_step_rectifiers_and_large_bases(self):
+        labeled, base, _ = generate_scenario(ScenarioSpec("monotone-distortion", n=60,
+                                                          n_unlabeled=90, seed=3))
+
+        def merges(loss, rectifier, strategy, base=base):
+            config = PriorConfig(gamma=1.0, rectifier=rectifier, strategy=strategy)
+            return plan_run(labeled, base, loss, config).pairs is not None
+
+        assert merges(MeanLoss(), QuantileMap(), Npb())
+        assert merges(QuantileLoss(0.9), Isotonic(), Split(0.5))
+        assert not merges(LinearRegressionLoss(), QuantileMap(), Npb())
+        assert not merges(MeanLoss(), MomentShift(), Npb())
+        assert not merges(MeanLoss(), QuantileMap(), Fixed())
+        small = AtomicMeasure(base.covariates[:60], Outcomes.real(base.outcomes.values[:60]))
+        assert not merges(MeanLoss(), QuantileMap(), Npb(), small)
 
     def test_merges_atoms_only_for_covariate_free_losses(self):
         labeled, base, _ = generate_scenario(ScenarioSpec("monotone-distortion", n=60,

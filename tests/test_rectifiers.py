@@ -17,6 +17,7 @@ from rectiprior.rectifiers import (
     Npb,
     ProbRecalib,
     QuantileMap,
+    SortedPairs,
     Split,
     apply_rectifier,
     clamp_log_probs,
@@ -29,6 +30,7 @@ from rectiprior.rectifiers import (
     make_calibration_sample,
     parse_rectifier,
     pava,
+    rectify_levels,
     score_discrepancy,
     serialize_rectifier,
 )
@@ -136,7 +138,85 @@ def test_apply_is_monotone_in_base_outcome(spec, calib, base_y):
     assert np.all(np.diff(out) >= 0)
 
 
+def tied_calibration(rng, n):
+    """A calibration sample with ties among its imputed and true outcomes."""
+    yhat = rng.integers(0, 6, n).astype(float)
+    y = rng.integers(0, 4, n) + rng.normal(size=n) * (rng.random() < 0.5)
+    return real_sample(y, yhat=yhat)
+
+
+class TestStepLevels:
+    @pytest.mark.parametrize("spec", [QuantileMap(), Isotonic()])
+    def test_levels_are_unique_of_apply(self, spec):
+        # base outcomes drawn from the imputed values and the midpoints
+        # between them sit on every cut point of both families
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            calib = tied_calibration(rng, int(rng.integers(1, 25)))
+            yhat = calib.imputed.values
+            grid = np.concatenate([yhat, 0.5 * (yhat[:, None] + yhat[None, :]).ravel(), [-1.0, 9.0]])
+            base_y = rng.choice(grid, size=int(rng.integers(1, 60)))
+            base = real_base(base_y, x=rng.normal(size=(base_y.size, 2)),
+                             weights=rng.dirichlet(np.ones(base_y.size)))
+            fitted = fit_rectifier(spec, calib, base)
+            mapped = apply_rectifier(fitted, base).outcomes.values
+            want, inverse = np.unique(mapped, return_inverse=True)
+            pairs = SortedPairs.of(calib, base)
+            values, lo, hi = spec.levels(fitted.state, pairs.base_sorted)
+            assert np.array_equal(values, want)
+            assert np.array_equal(hi - lo, np.bincount(inverse))
+            merged = rectify_levels(fitted, pairs)
+            assert np.array_equal(merged.outcomes.values, want)
+            assert np.allclose(merged.weights, np.bincount(inverse, weights=base.weights),
+                               rtol=1e-12, atol=1e-15)
+            # each level keeps the covariates of one of its own atoms
+            atoms = pairs.base_order[lo]
+            assert np.array_equal(mapped[atoms], want)
+            assert np.array_equal(merged.covariates, base.covariates[atoms])
+
+    def test_quantile_map_from_counts_is_the_resample_fit(self):
+        rng = np.random.default_rng(3)
+        labeled = tied_calibration(rng, 40)
+        base = real_base([0.0])
+        pairs = SortedPairs.of(labeled, base)
+        for b in range(50):
+            calib, _ = make_calibration_sample(labeled, Npb(), RngStream(2, (b,)))
+            want = fit_rectifier(QuantileMap(), calib, base).state
+            got = QuantileMap().fit_counts(pairs, Npb().counts(labeled.n, RngStream(2, (b,)))).state
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key].dtype == want[key].dtype
+                assert got[key].tobytes() == want[key].tobytes(), key
+
+    def test_isotonic_from_counts_matches_the_resample_fit(self):
+        # the pooled sums add each row once times its count instead of once
+        # per copy, so they agree up to rounding
+        rng = np.random.default_rng(4)
+        labeled = tied_calibration(rng, 40)
+        pairs = SortedPairs.of(labeled, real_base([0.0]))
+        for b in range(50):
+            calib, _ = make_calibration_sample(labeled, Npb(), RngStream(2, (b,)))
+            want = fit_rectifier(Isotonic(), calib, real_base([0.0])).state
+            got = Isotonic().fit_counts(pairs, Npb().counts(labeled.n, RngStream(2, (b,)))).state
+            assert np.array_equal(got["knots"], want["knots"])
+            assert np.allclose(got["fitted"], want["fitted"], rtol=1e-12, atol=1e-12)
+
+
 class TestIsotonic:
+    def test_matches_unique_and_add_at_pooling(self):
+        # the pooled sums must be added in the row order np.add.at uses, so
+        # the fit is the one of the np.unique form bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            calib = tied_calibration(rng, int(rng.integers(1, 80)))
+            x, y = calib.imputed.values, calib.outcomes.values * 1e3 + rng.normal(size=calib.n)
+            knots, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+            sums = np.zeros(knots.size)
+            np.add.at(sums, inverse, y)
+            state = fit_isotonic(x, y).state
+            assert np.array_equal(state["knots"], knots)
+            assert np.array_equal(state["fitted"], pava(sums / counts, counts.astype(float)))
+
     def test_monotone_input_is_noop(self):
         r = fit_isotonic([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert np.allclose(r.state["fitted"], [1, 2, 3])
