@@ -261,19 +261,11 @@ def empirical_measure(sample: LabeledSample) -> AtomicMeasure:
     return AtomicMeasure(sample.covariates, sample.outcomes, np.full(sample.n, 1.0 / sample.n))
 
 
-def _bootstrap_rows(n: int, rng: RngStream) -> np.ndarray:
-    return rng.generator().integers(0, n, size=n)
-
-
 def resample_nonparametric_bootstrap(sample: LabeledSample, rng: RngStream) -> LabeledSample:
-    """n rows drawn i.i.d. uniformly with replacement from the input sample."""
-    return sample.take(_bootstrap_rows(sample.n, rng))
-
-
-def bootstrap_counts(n: int, rng: RngStream) -> np.ndarray:
-    """How often each of n rows falls in the resample that
-    `resample_nonparametric_bootstrap` draws from the same stream."""
-    return np.bincount(_bootstrap_rows(n, rng), minlength=n)
+    """n rows drawn i.i.d. uniformly with replacement from the input sample
+    (or from anything else with n rows and a `take`)."""
+    idx = rng.generator().integers(0, sample.n, size=sample.n)
+    return sample.take(idx)
 
 
 def realize_class_labels(base: AtomicMeasure, rng: RngStream) -> AtomicMeasure:

@@ -34,11 +34,12 @@ from .rectifiers import (
     Fixed,
     Identity,
     RectifierSpec,
-    SortedPairs,
+    SortedBase,
+    SortedRows,
+    StepMap,
     apply_rectifier,
     fit_rectifier,
     make_calibration_sample,
-    rectify_levels,
 )
 
 _MAX_FAILURE_FRACTION = 0.05
@@ -102,15 +103,16 @@ class RunPlan:
     A field left None is built by each draw from its own random stream.
     `rect` is the rectified base; `covariates` stacks the inference rows
     over the base atoms; `outcomes` concatenates the inference outcomes and
-    the rectified base's.  `pairs` holds the sorted outcomes that a draw
-    merging the base into a step rectifier's levels reads (see
-    `_merges_levels`).
+    the rectified base's.  `rows` and `sorted_base` are the sorted labeled
+    rows and base that a draw merging the base into a step rectifier's
+    levels calibrates on and rectifies (see `_merges_levels`).
     """
 
     rect: AtomicMeasure | None = None
     covariates: np.ndarray | None = None
     outcomes: Outcomes | None = None
-    pairs: SortedPairs | None = None
+    rows: SortedRows | None = None
+    sorted_base: SortedBase | None = None
 
 
 def _realizes_labels(rect: AtomicMeasure, loss: LossSpec) -> bool:
@@ -124,35 +126,19 @@ def _rectifies_once(config: PriorConfig) -> bool:
     return not (config.strategy.random_calibration and config.rectifier.calibrated)
 
 
-def _merges_levels(labeled: LabeledSample, base: AtomicMeasure, loss: LossSpec,
-                   config: PriorConfig) -> bool:
+def _merges_levels(loss: LossSpec, config: PriorConfig) -> bool:
     """Whether each draw rectifies the base straight into the levels of a
     step rectifier refit on that draw, with the atoms of each level merged.
 
     As in `_merge_atoms` the law is unchanged for a loss that reads no
-    covariates.  A step rectifier fit on the labeled rows has at most one
-    level per row, so merging is sure to shrink the draw only when the base
-    has more atoms than there are labeled rows; a smaller base is rectified
-    atom by atom.
+    covariates.
     """
-    return (config.strategy.random_calibration and config.rectifier.stepwise
-            and not loss.reads_covariates and base.k > labeled.n)
+    return (config.strategy.random_calibration and isinstance(config.rectifier, StepMap)
+            and not loss.reads_covariates)
 
 
-def _rectify_levels(labeled: LabeledSample, base: AtomicMeasure, config: PriorConfig,
-                    rng: RngStream, pairs: SortedPairs):
-    """A draw's inference sample and its base rectified into merged levels.
-
-    A strategy that gives its calibration sample as counts per labeled row
-    is fit from them on the rows sorted once per run.
-    """
-    counts = config.strategy.counts(labeled.n, rng)
-    if counts is None:
-        calib, inference = make_calibration_sample(labeled, config.strategy, rng)
-        fitted = fit_rectifier(config.rectifier, calib, base)
-    else:
-        inference, fitted = labeled, config.rectifier.fit_counts(pairs, counts)
-    return inference, rectify_levels(fitted, pairs)
+def _level_plan(labeled: LabeledSample, base: AtomicMeasure) -> RunPlan:
+    return RunPlan(rows=SortedRows.of(labeled), sorted_base=SortedBase.of(base))
 
 
 def _merge_atoms(rect: AtomicMeasure, loss: LossSpec) -> AtomicMeasure:
@@ -188,8 +174,8 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
     """
     if config.gamma == 0.0 or base is None:
         return RunPlan()
-    if _merges_levels(labeled, base, loss, config):
-        return RunPlan(pairs=SortedPairs.of(labeled, base))
+    if _merges_levels(loss, config):
+        return _level_plan(labeled, base)
     rect = None
     if _rectifies_once(config):
         rect = apply_rectifier(fit_rectifier(config.rectifier, labeled, base), base)
@@ -226,15 +212,16 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     if base is None:
         raise ParameterError("base measure required when gamma > 0")
     plan = plan or RunPlan()
+    if plan.rows is None and _merges_levels(loss, config):
+        plan = _level_plan(labeled, base)
     rect, covs, outs = plan.rect, plan.covariates, plan.outcomes
     inference = labeled
-    if _merges_levels(labeled, base, loss, config):
-        inference, rect = _rectify_levels(labeled, base, config, rng.child(0),
-                                          plan.pairs or SortedPairs.of(labeled, base))
-    elif rect is None or covs is None:
-        calib, inference = make_calibration_sample(labeled, config.strategy, rng.child(0))
+    if rect is None or covs is None:
+        calib, inference = make_calibration_sample(labeled, config.strategy, rng.child(0),
+                                                   plan.rows)
         if rect is None:
-            rect = apply_rectifier(fit_rectifier(config.rectifier, calib, base), base)
+            fitted = fit_rectifier(config.rectifier, calib, base)
+            rect = apply_rectifier(fitted, plan.sorted_base or base)
             if _rectifies_once(config):
                 rect = _merge_atoms(rect, loss)
     if outs is None:

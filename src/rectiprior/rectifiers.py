@@ -27,7 +27,6 @@ from .measures import (
     LabeledSample,
     Outcomes,
     RngStream,
-    bootstrap_counts,
     resample_nonparametric_bootstrap,
 )
 
@@ -36,13 +35,10 @@ class RectifierSpec:
     """Behaviour shared by every rectifier spec.
 
     `calibrated` is False for a rectifier whose fit ignores the calibration
-    sample, so that one fit serves every posterior draw.  `stepwise` is True
-    for a step function of the base outcome, whose rectified base has one
-    outcome per step it reaches (see `_StepMap`).
+    sample, so that one fit serves every posterior draw.
     """
 
     calibrated = True
-    stepwise = False
 
     def load_state(self, arrays: dict) -> dict:
         """Fitted state from the flat arrays of its serialized form."""
@@ -56,16 +52,15 @@ class _RealMap(RectifierSpec):
         return base.with_outcomes(Outcomes.real(self._map(state, _base_real_values(base))))
 
 
-class _StepMap(_RealMap):
-    """Real maps that are step functions of the base outcome.
+class StepMap(_RealMap):
+    """Real maps that are step functions of the base outcome, so that their
+    rectified base has one outcome per step it reaches.
 
     `_steps(state)` gives the function as nondecreasing cut points, the value
     on each of the len(cuts) + 1 intervals they bound, and the `searchsorted`
     side that puts an outcome into its interval; `_map` and `levels` both
-    read it.
+    read it.  `fit_counts` fits on a `Resample` of sorted labeled rows.
     """
-
-    stepwise = True
 
     def _map(self, state, y):
         cuts, values, side = self._steps(state)
@@ -109,18 +104,18 @@ class Identity(RectifierSpec):
 
 
 @dataclass(frozen=True)
-class QuantileMap(_StepMap):
+class QuantileMap(StepMap):
     tag = "quantile-map"
 
     def fit(self, calib, base):
         true, imputed = _paired_real(calib)
         return fit_quantile_map(true, imputed)
 
-    def fit_counts(self, pairs, counts):
-        """The fit on the resample holding labeled row i counts[i] times."""
-        t, i = pairs.true_order, pairs.imputed_order
-        return FittedRectifier(self, {"imputed_grid": np.repeat(pairs.imputed[i], counts[i]),
-                                      "true_grid": np.repeat(pairs.true[t], counts[t])})
+    def fit_counts(self, calib):
+        rows, counts = calib.rows, calib.counts
+        t, i = rows.true_order, rows.imputed_order
+        return FittedRectifier(self, {"imputed_grid": np.repeat(rows.imputed[i], counts[i]),
+                                      "true_grid": np.repeat(rows.true[t], counts[t])})
 
     def _steps(self, state):
         # the right-continuous empirical CDF of the imputed grid picks an
@@ -130,17 +125,16 @@ class QuantileMap(_StepMap):
 
 
 @dataclass(frozen=True)
-class Isotonic(_StepMap):
+class Isotonic(StepMap):
     tag = "isotonic"
 
     def fit(self, calib, base):
         true, imputed = _paired_real(calib)
         return fit_isotonic(imputed, true)
 
-    def fit_counts(self, pairs, counts):
-        """The fit on the resample holding labeled row i counts[i] times."""
-        i = pairs.imputed_order
-        return FittedRectifier(self, _pooled_isotonic(pairs.imputed[i], pairs.true[i], counts[i]))
+    def fit_counts(self, calib):
+        rows, i = calib.rows, calib.rows.imputed_order
+        return FittedRectifier(self, _pooled_isotonic(rows.imputed[i], rows.true[i], calib.counts[i]))
 
     def _steps(self, state):
         knots = state["knots"]
@@ -201,15 +195,12 @@ class CalibrationStrategy:
 
     `random_calibration` and `random_inference` say which part of the pair
     changes from draw to draw; a posterior run builds the other part once.
+    Given the labeled sample's `SortedRows` as `rows`, a strategy that
+    draws its calibration sample takes it from them, as a `Resample`.
     """
 
     random_calibration = True
     random_inference = False
-
-    def counts(self, n, rng):
-        """The calibration sample as a count per labeled row, drawn from the
-        stream `split` uses, or None when only `split` builds it."""
-        return None
 
 
 @dataclass(frozen=True)
@@ -217,7 +208,7 @@ class Fixed(CalibrationStrategy):
     tag = "fixed"
     random_calibration = False
 
-    def split(self, labeled, rng):
+    def split(self, labeled, rng, rows=None):
         return labeled, labeled
 
 
@@ -231,24 +222,21 @@ class Split(CalibrationStrategy):
         if not 0.0 < self.fraction < 1.0:
             raise ParameterError("split fraction must lie in (0, 1)")
 
-    def split(self, labeled, rng):
+    def split(self, labeled, rng, rows=None):
         n = labeled.n
         n_cal = math.ceil(self.fraction * n)
         if n_cal == 0 or n_cal == n:
             raise ParameterError("split leaves an empty part")
         perm = rng.generator().permutation(n)
-        return labeled.take(perm[:n_cal]), labeled.take(perm[n_cal:])
+        return (labeled if rows is None else rows).take(perm[:n_cal]), labeled.take(perm[n_cal:])
 
 
 @dataclass(frozen=True)
 class Npb(CalibrationStrategy):
     tag = "npb"
 
-    def split(self, labeled, rng):
-        return resample_nonparametric_bootstrap(labeled, rng), labeled
-
-    def counts(self, n, rng):
-        return bootstrap_counts(n, rng)
+    def split(self, labeled, rng, rows=None):
+        return resample_nonparametric_bootstrap(labeled if rows is None else rows, rng), labeled
 
 
 RECTIFIERS = {cls.tag: cls for cls in
@@ -263,40 +251,76 @@ class FittedRectifier:
 
 
 @dataclass(frozen=True)
-class SortedPairs:
-    """The labeled true and imputed outcomes and the base's, each with the
-    order that sorts it, found once per run.  From them a step rectifier is
-    fit on a resample given as counts per labeled row (`fit_counts`) and its
-    levels on the base are found (`rectify_levels`) without sorting again.
-    `cum_weights` are the base weights summed in sorted order, from 0."""
+class SortedRows:
+    """The labeled true and imputed outcomes, each with the order that sorts
+    it, found once per posterior run.  `take` gives a `Resample` of the rows,
+    on which a step rectifier is fit without sorting again."""
 
     true: np.ndarray
     imputed: np.ndarray
     true_order: np.ndarray
     imputed_order: np.ndarray
+
+    @classmethod
+    def of(cls, labeled: LabeledSample) -> "SortedRows":
+        true, imputed = _paired_real(labeled)
+        return cls(true, imputed, np.argsort(true, kind="stable"), np.argsort(imputed, kind="stable"))
+
+    @property
+    def n(self) -> int:
+        return self.true.size
+
+    def take(self, idx) -> "Resample":
+        return Resample(self, np.bincount(idx, minlength=self.n))
+
+
+@dataclass(frozen=True)
+class Resample:
+    """The multiset of `rows` holding row i counts[i] times."""
+
+    rows: SortedRows
+    counts: np.ndarray
+
+
+@dataclass(frozen=True)
+class SortedBase:
+    """A real base measure's outcomes in ascending order (`values`), the
+    order that sorts them and the weights summed in that order, from 0.  A
+    step rectifier applied to it gives its levels on the base, each merged
+    into one atom."""
+
     base: AtomicMeasure
-    base_order: np.ndarray
-    base_sorted: np.ndarray
+    order: np.ndarray
+    values: np.ndarray
     cum_weights: np.ndarray
 
     @classmethod
-    def of(cls, labeled: LabeledSample, base: AtomicMeasure) -> "SortedPairs":
-        true, imputed = _paired_real(labeled)
+    def of(cls, base: AtomicMeasure) -> "SortedBase":
         y = _base_real_values(base)
         order = np.argsort(y, kind="stable")
-        return cls(true, imputed, np.argsort(true, kind="stable"), np.argsort(imputed, kind="stable"),
-                   base, order, y[order], np.concatenate([[0.0], np.cumsum(base.weights[order])]))
+        return cls(base, order, y[order], np.concatenate([[0.0], np.cumsum(base.weights[order])]))
+
+    def merged(self, levels, lo, hi) -> AtomicMeasure:
+        """One atom of outcome levels[j] for each run self.values[lo[j]:hi[j]]
+        of sorted base atoms, holding the run's summed weight and the
+        covariates of its first atom."""
+        weights = self.cum_weights[hi] - self.cum_weights[lo]
+        return AtomicMeasure(self.base.covariates[self.order[lo]], Outcomes.real(levels),
+                             weights / weights.sum())
 
 
 def make_calibration_sample(labeled: LabeledSample, strategy: CalibrationStrategy,
-                            rng: RngStream) -> tuple[LabeledSample, LabeledSample]:
+                            rng: RngStream, rows: SortedRows | None = None
+                            ) -> tuple[LabeledSample | Resample, LabeledSample]:
     """Build (calibration, inference) samples under the configured strategy.
 
     Fixed reuses the full labeled sample for both roles; Split partitions it
     at random; Npb calibrates on a nonparametric bootstrap resample while
-    keeping the full sample for inference.
+    keeping the full sample for inference.  Given `rows`, the labeled
+    sample's `SortedRows`, Split and Npb draw the same rows from the same
+    stream and give the calibration sample as a `Resample` of them.
     """
-    return strategy.split(labeled, rng)
+    return strategy.split(labeled, rng, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -423,23 +447,18 @@ def fit_prob_recalib(calib: LabeledSample, spec: ProbRecalib) -> FittedRectifier
     return FittedRectifier(spec, {"W": coef[:, 1:], "b": coef[:, 0]})
 
 
-def apply_rectifier(r: FittedRectifier, base: AtomicMeasure) -> AtomicMeasure:
-    """Transform every atom's outcome; covariates and weights are unchanged."""
-    return r.spec.apply(r.state, base)
+def apply_rectifier(r: FittedRectifier, base: AtomicMeasure | SortedBase) -> AtomicMeasure:
+    """Transform every atom's outcome; covariates and weights are unchanged.
 
-
-def rectify_levels(r: FittedRectifier, pairs: SortedPairs) -> AtomicMeasure:
-    """The base rectified by a step rectifier with its atoms of equal outcome
-    merged: one atom per level, holding the summed weight of its atoms and
-    the covariates of the one with the lowest base outcome.
-
-    It has the outcomes `np.unique` finds in `apply_rectifier`'s and their
-    weights up to rounding, without mapping each atom.
+    A step rectifier applied to a `SortedBase` gives instead its atoms of
+    equal rectified outcome merged: one atom per level, holding the summed
+    weight of its atoms and the covariates of the one with the lowest base
+    outcome.  That is the outcomes `np.unique` finds in the atom-by-atom
+    result and their weights up to rounding, without mapping each atom.
     """
-    values, lo, hi = r.spec.levels(r.state, pairs.base_sorted)
-    weights = pairs.cum_weights[hi] - pairs.cum_weights[lo]
-    return AtomicMeasure(pairs.base.covariates[pairs.base_order[lo]], Outcomes.real(values),
-                         weights / weights.sum())
+    if isinstance(base, SortedBase):
+        return base.merged(*r.spec.levels(r.state, base.values))
+    return r.spec.apply(r.state, base)
 
 
 def _paired_real(calib: LabeledSample):
@@ -450,8 +469,12 @@ def _paired_real(calib: LabeledSample):
     return calib.outcomes.values, calib.imputed.values
 
 
-def fit_rectifier(spec: RectifierSpec, calib: LabeledSample, base: AtomicMeasure) -> FittedRectifier:
-    """Fit any rectifier family on a calibration sample."""
+def fit_rectifier(spec: RectifierSpec, calib: LabeledSample | Resample,
+                  base: AtomicMeasure) -> FittedRectifier:
+    """Fit any rectifier family on a calibration sample, or a step rectifier
+    on a `Resample` of sorted labeled rows."""
+    if isinstance(calib, Resample):
+        return spec.fit_counts(calib)
     return spec.fit(calib, base)
 
 

@@ -9,7 +9,6 @@ from rectiprior.measures import (
     LabeledSample,
     Outcomes,
     RngStream,
-    bootstrap_counts,
     empirical_measure,
     realize_class_labels,
     resample_nonparametric_bootstrap,
@@ -128,13 +127,6 @@ class TestBootstrapResample:
         a = resample_nonparametric_bootstrap(s, RngStream(5, (2,)))
         b = resample_nonparametric_bootstrap(s, RngStream(5, (2,)))
         assert np.array_equal(a.outcomes.values, b.outcomes.values)
-
-    def test_counts_match_resample(self):
-        s = LabeledSample(np.zeros((30, 1)), Outcomes.real(np.arange(30.0)))
-        for b in range(20):
-            rows = resample_nonparametric_bootstrap(s, RngStream(4, (b,))).outcomes.values
-            counts = bootstrap_counts(30, RngStream(4, (b,)))
-            assert np.array_equal(counts, np.bincount(rows.astype(int), minlength=30))
 
     def test_carries_imputations(self):
         s = LabeledSample(np.zeros((5, 1)), Outcomes.real(np.arange(5.0)),

@@ -390,23 +390,24 @@ class TestRunPlan:
             se = np.sqrt(a.var() / draws + b.var() / draws)
             assert abs(a.mean() - b.mean()) < 5 * se, moment
 
-    @pytest.mark.parametrize("rectifier,loss", [(QuantileMap(), MeanLoss()),
-                                                (Isotonic(), QuantileLoss(0.9))],
-                             ids=["quantile-map-mean", "isotonic-quantile"])
-    def test_merged_levels_follow_unmerged_law(self, rectifier, loss):
+    @pytest.mark.parametrize("rectifier,loss,k", [(QuantileMap(), MeanLoss(), 80),
+                                                  (Isotonic(), QuantileLoss(0.9), 80),
+                                                  (QuantileMap(), MeanLoss(), 20)],
+                             ids=["quantile-map-mean", "isotonic-quantile", "small-base"])
+    def test_merged_levels_follow_unmerged_law(self, rectifier, loss, k):
         # each draw merges its rectified base into the rectifier's levels;
         # its draws must follow the law of Dirichlet weights over the
         # unmerged atoms, with a resample and a rectifier fit of their own.
         # The base sits above the labeled imputations, so its levels carry
         # very unequal mass.
         rng = np.random.default_rng(4)
-        n, k, gamma, draws = 30, 80, 1.0, 3000
+        n, gamma, draws = 30, 1.0, 3000
         y = rng.normal(size=n)
         labeled = LabeledSample(np.zeros((n, 1)), Outcomes.real(y),
                                 Outcomes.real(y + 0.5 * rng.normal(size=n)))
         base = AtomicMeasure(np.zeros((k, 1)), Outcomes.real(1.0 + 0.5 * rng.normal(size=k)))
         config = PriorConfig(gamma=gamma, draws=draws, rectifier=rectifier, strategy=Npb(), seed=8)
-        assert plan_run(labeled, base, loss, config).pairs is not None
+        assert plan_run(labeled, base, loss, config).rows is not None
         engine = run_posterior(labeled, base, loss, config).samples[:, 0]
         gen = np.random.default_rng(8)
         covs = np.vstack([labeled.covariates, base.covariates])
@@ -423,21 +424,21 @@ class TestRunPlan:
             se = np.sqrt(a.var() / draws + b.var() / draws)
             assert abs(a.mean() - b.mean()) < 5 * se, moment
 
-    def test_merges_levels_only_for_step_rectifiers_and_large_bases(self):
+    def test_merges_levels_only_for_step_rectifiers_and_covariate_free_losses(self):
         labeled, base, _ = generate_scenario(ScenarioSpec("monotone-distortion", n=60,
                                                           n_unlabeled=90, seed=3))
 
         def merges(loss, rectifier, strategy, base=base):
             config = PriorConfig(gamma=1.0, rectifier=rectifier, strategy=strategy)
-            return plan_run(labeled, base, loss, config).pairs is not None
+            return plan_run(labeled, base, loss, config).rows is not None
 
         assert merges(MeanLoss(), QuantileMap(), Npb())
         assert merges(QuantileLoss(0.9), Isotonic(), Split(0.5))
+        small = AtomicMeasure(base.covariates[:20], Outcomes.real(base.outcomes.values[:20]))
+        assert merges(MeanLoss(), QuantileMap(), Npb(), small)
         assert not merges(LinearRegressionLoss(), QuantileMap(), Npb())
         assert not merges(MeanLoss(), MomentShift(), Npb())
         assert not merges(MeanLoss(), QuantileMap(), Fixed())
-        small = AtomicMeasure(base.covariates[:60], Outcomes.real(base.outcomes.values[:60]))
-        assert not merges(MeanLoss(), QuantileMap(), Npb(), small)
 
     def test_merges_atoms_only_for_covariate_free_losses(self):
         labeled, base, _ = generate_scenario(ScenarioSpec("monotone-distortion", n=60,

@@ -17,7 +17,9 @@ from rectiprior.rectifiers import (
     Npb,
     ProbRecalib,
     QuantileMap,
-    SortedPairs,
+    Resample,
+    SortedBase,
+    SortedRows,
     Split,
     apply_rectifier,
     clamp_log_probs,
@@ -30,7 +32,6 @@ from rectiprior.rectifiers import (
     make_calibration_sample,
     parse_rectifier,
     pava,
-    rectify_levels,
     score_discrepancy,
     serialize_rectifier,
 )
@@ -161,28 +162,42 @@ class TestStepLevels:
             fitted = fit_rectifier(spec, calib, base)
             mapped = apply_rectifier(fitted, base).outcomes.values
             want, inverse = np.unique(mapped, return_inverse=True)
-            pairs = SortedPairs.of(calib, base)
-            values, lo, hi = spec.levels(fitted.state, pairs.base_sorted)
+            sorted_base = SortedBase.of(base)
+            values, lo, hi = spec.levels(fitted.state, sorted_base.values)
             assert np.array_equal(values, want)
             assert np.array_equal(hi - lo, np.bincount(inverse))
-            merged = rectify_levels(fitted, pairs)
+            merged = apply_rectifier(fitted, sorted_base)
             assert np.array_equal(merged.outcomes.values, want)
             assert np.allclose(merged.weights, np.bincount(inverse, weights=base.weights),
                                rtol=1e-12, atol=1e-15)
             # each level keeps the covariates of one of its own atoms
-            atoms = pairs.base_order[lo]
+            atoms = sorted_base.order[lo]
             assert np.array_equal(mapped[atoms], want)
             assert np.array_equal(merged.covariates, base.covariates[atoms])
+
+    @pytest.mark.parametrize("strategy", [Npb(), Split(0.3)])
+    def test_sorted_rows_resample_counts_the_rows_drawn(self, strategy):
+        # the same stream draws the same rows, given as counts
+        labeled = real_sample(np.arange(30.0), yhat=np.arange(30.0) + 100)
+        rows = SortedRows.of(labeled)
+        for b in range(20):
+            drawn, inference = make_calibration_sample(labeled, strategy, RngStream(4, (b,)))
+            counted, same = make_calibration_sample(labeled, strategy, RngStream(4, (b,)), rows)
+            assert isinstance(counted, Resample) and counted.rows is rows
+            assert np.array_equal(counted.counts,
+                                  np.bincount(drawn.outcomes.values.astype(int), minlength=30))
+            assert np.array_equal(same.outcomes.values, inference.outcomes.values)
 
     def test_quantile_map_from_counts_is_the_resample_fit(self):
         rng = np.random.default_rng(3)
         labeled = tied_calibration(rng, 40)
         base = real_base([0.0])
-        pairs = SortedPairs.of(labeled, base)
+        rows = SortedRows.of(labeled)
         for b in range(50):
             calib, _ = make_calibration_sample(labeled, Npb(), RngStream(2, (b,)))
             want = fit_rectifier(QuantileMap(), calib, base).state
-            got = QuantileMap().fit_counts(pairs, Npb().counts(labeled.n, RngStream(2, (b,)))).state
+            counted, _ = make_calibration_sample(labeled, Npb(), RngStream(2, (b,)), rows)
+            got = fit_rectifier(QuantileMap(), counted, base).state
             assert got.keys() == want.keys()
             for key in want:
                 assert got[key].dtype == want[key].dtype
@@ -193,11 +208,12 @@ class TestStepLevels:
         # per copy, so they agree up to rounding
         rng = np.random.default_rng(4)
         labeled = tied_calibration(rng, 40)
-        pairs = SortedPairs.of(labeled, real_base([0.0]))
+        rows = SortedRows.of(labeled)
         for b in range(50):
             calib, _ = make_calibration_sample(labeled, Npb(), RngStream(2, (b,)))
             want = fit_rectifier(Isotonic(), calib, real_base([0.0])).state
-            got = Isotonic().fit_counts(pairs, Npb().counts(labeled.n, RngStream(2, (b,)))).state
+            counted, _ = make_calibration_sample(labeled, Npb(), RngStream(2, (b,)), rows)
+            got = fit_rectifier(Isotonic(), counted, real_base([0.0])).state
             assert np.array_equal(got["knots"], want["knots"])
             assert np.allclose(got["fitted"], want["fitted"], rtol=1e-12, atol=1e-12)
 

@@ -7,9 +7,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from rectiprior import harness, posterior
-from rectiprior.losses import MeanLoss
-from rectiprior.rectifiers import MomentShift, Npb, QuantileMap
+from rectiprior.losses import MeanLoss, QuantileLoss
+from rectiprior.rectifiers import Isotonic, MomentShift, Npb, QuantileMap, Split
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import tracing  # noqa: E402
@@ -26,6 +28,26 @@ def test_posterior_run_reaches_every_draw_trace_point():
     for name in ("posterior.draw", "rectifiers.calib", "measures.bootstrap", "rectifiers.fit",
                  "rectifiers.apply", "measures.dirichlet", "losses.solve", "measures.concat"):
         assert calls[name] == 10, name
+    assert not any(s.error for s in tracer.spans)
+
+
+@pytest.mark.parametrize("rectifier,strategy", [(Isotonic(), Npb()), (QuantileMap(), Split(0.5))])
+def test_merged_levels_reach_every_draw_trace_point(rectifier, strategy):
+    # with more base atoms than labeled rows each draw merges the base into
+    # the refit rectifier's levels, and still passes every trace point
+    spec = harness.ScenarioSpec("monotone-distortion", n=30, n_unlabeled=90, seed=1)
+    labeled, base, _ = harness.generate_scenario(spec)
+    config = posterior.PriorConfig(gamma=1.0, draws=10, rectifier=rectifier, strategy=strategy)
+    with tracing.Tracer() as tracer:
+        posterior.run_posterior(labeled, base, QuantileLoss(0.9), config)
+    calls = Counter(s.name for s in tracer.spans)
+    for name in ("posterior.draw", "rectifiers.calib", "rectifiers.fit", "rectifiers.apply",
+                 "measures.dirichlet", "losses.solve", "measures.concat"):
+        assert calls[name] == 10, name
+    assert calls["measures.bootstrap"] == (10 if isinstance(strategy, Npb) else 0)
+    # one weight per labeled row and per level, never one per base atom
+    atoms = [s.size for s in tracer.spans if s.name == "measures.dirichlet"]
+    assert max(atoms) <= 2 * labeled.n < labeled.n + base.k
     assert not any(s.error for s in tracer.spans)
 
 
