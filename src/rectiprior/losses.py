@@ -46,10 +46,14 @@ class LossSpec:
     and outcomes of the spec's `kind`; `hessian` takes normalized weights.
     `reads_covariates` is False for a loss whose value at an atom depends on
     its outcome alone, so that atoms with equal outcomes can be merged.
+    `sorts_outcomes` is True for a loss whose `solve` stably sorts the
+    outcomes and reads nothing else of their order, so that rows handed to it
+    already sorted give the same solution bit for bit, and sort faster.
     """
 
     kind = REAL
     reads_covariates = True
+    sorts_outcomes = False
 
     def dim(self, d_x):
         return 1
@@ -92,6 +96,7 @@ class MeanLoss(LossSpec):
 class QuantileLoss(LossSpec):
     tau: float
     reads_covariates = False
+    sorts_outcomes = True
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:

@@ -8,7 +8,7 @@ All types are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,10 +207,18 @@ class AtomicMeasure:
 
 @dataclass(frozen=True)
 class DirichletWeights:
-    """One joint Dirichlet draw over labeled rows and base atoms."""
+    """One joint Dirichlet draw: `weights` over the n labeled rows, then the base atoms."""
 
-    labeled_w: np.ndarray
-    base_w: np.ndarray = field(default_factory=lambda: np.empty(0))
+    weights: np.ndarray
+    n: int
+
+    @property
+    def labeled_w(self) -> np.ndarray:
+        return self.weights[:self.n]
+
+    @property
+    def base_w(self) -> np.ndarray:
+        return self.weights[self.n:]
 
 
 def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
@@ -244,8 +252,7 @@ def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
     else:
         base_g = gen.standard_gamma(alpha * w)
     g = np.maximum(np.concatenate([labeled_g, base_g]), np.finfo(float).tiny)
-    g = g / g.sum()
-    return DirichletWeights(labeled_w=g[:n], base_w=g[n:])
+    return DirichletWeights(g / g.sum(), n)
 
 
 def sample_uniform_dirichlet(n: int, rng: RngStream) -> np.ndarray:

@@ -105,7 +105,9 @@ class RunPlan:
     over the base atoms; `outcomes` concatenates the inference outcomes and
     the rectified base's.  `rows` and `sorted_base` are the sorted labeled
     rows and base that a draw merging the base into a step rectifier's
-    levels calibrates on and rectifies (see `_merges_levels`).
+    levels calibrates on and rectifies (see `_merges_levels`).  When
+    `presorted`, such a draw infers on all labeled rows and presents them in
+    `rows.true_order` to a loss that `sorts_outcomes`.
     """
 
     rect: AtomicMeasure | None = None
@@ -113,6 +115,7 @@ class RunPlan:
     outcomes: Outcomes | None = None
     rows: SortedRows | None = None
     sorted_base: SortedBase | None = None
+    presorted: bool = False
 
 
 def _realizes_labels(rect: AtomicMeasure, loss: LossSpec) -> bool:
@@ -137,8 +140,17 @@ def _merges_levels(loss: LossSpec, config: PriorConfig) -> bool:
             and not loss.reads_covariates)
 
 
-def _level_plan(labeled: LabeledSample, base: AtomicMeasure) -> RunPlan:
-    return RunPlan(rows=SortedRows.of(labeled), sorted_base=SortedBase.of(base))
+def _level_plan(labeled: LabeledSample, base: AtomicMeasure, loss: LossSpec,
+                config: PriorConfig) -> RunPlan:
+    """The plan of a run that `_merges_levels`.
+
+    Its rows are presented sorted when every draw infers on all of them and
+    the loss sorts them anyway: the levels follow them already ascending,
+    so the loss's stable sort meets two sorted runs, and ties stay labeled
+    rows first, then by row index, as in row order.
+    """
+    return RunPlan(rows=SortedRows.of(labeled), sorted_base=SortedBase.of(base),
+                   presorted=loss.sorts_outcomes and not config.strategy.random_inference)
 
 
 def _merge_atoms(rect: AtomicMeasure, loss: LossSpec) -> AtomicMeasure:
@@ -175,7 +187,7 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
     if config.gamma == 0.0 or base is None:
         return RunPlan()
     if _merges_levels(loss, config):
-        return _level_plan(labeled, base)
+        return _level_plan(labeled, base, loss, config)
     rect = None
     if _rectifies_once(config):
         rect = apply_rectifier(fit_rectifier(config.rectifier, labeled, base), base)
@@ -201,7 +213,8 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     probability atoms, sample the conjugate Dirichlet weights (alpha =
     gamma * n, spread over the atoms by their weights), and solve the
     combined weighted problem.  Steps whose result `plan` (from `plan_run`)
-    holds are skipped; without a plan the draw does every step itself.
+    holds are skipped; without a plan the draw does every step itself.  A
+    loss that reads no covariates gets none.
     """
     rng = RngStream(config.seed, (draw_index,))
     if config.gamma == 0.0:
@@ -213,7 +226,7 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
         raise ParameterError("base measure required when gamma > 0")
     plan = plan or RunPlan()
     if plan.rows is None and _merges_levels(loss, config):
-        plan = _level_plan(labeled, base)
+        plan = _level_plan(labeled, base, loss, config)
     rect, covs, outs = plan.rect, plan.covariates, plan.outcomes
     inference = labeled
     if rect is None or covs is None:
@@ -227,13 +240,18 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     if outs is None:
         if _realizes_labels(rect, loss):
             rect = realize_class_labels(rect, rng.child(1))
-        outs = Outcomes.concat(inference.outcomes, rect.outcomes)
-    if covs is None:
-        covs = np.vstack([inference.covariates, rect.covariates])
-
+        labeled_outs = plan.rows.sorted_true if plan.presorted else inference.outcomes
+        outs = Outcomes.concat(labeled_outs, rect.outcomes)
     n, k = inference.n, rect.k
+    if covs is None:
+        covs = (np.vstack([inference.covariates, rect.covariates]) if loss.reads_covariates
+                else np.empty((n + k, 0)))
+
     dw = sample_dirichlet_weights(n, k, config.gamma * n, rng.child(2), rect.weights)
-    weights = np.maximum(np.concatenate([dw.labeled_w, dw.base_w]), np.finfo(float).tiny)
+    # clamped once, after the normalisation, which can leave quotients subnormal
+    weights = np.maximum(dw.weights, np.finfo(float).tiny)
+    if plan.presorted:
+        weights[:n] = weights[plan.rows.true_order]
     problem = WeightedProblem(covs, outs, weights, loss)
     return solve_weighted(problem)
 

@@ -115,7 +115,7 @@ class QuantileMap(StepMap):
         rows, counts = calib.rows, calib.counts
         t, i = rows.true_order, rows.imputed_order
         return FittedRectifier(self, {"imputed_grid": np.repeat(rows.imputed[i], counts[i]),
-                                      "true_grid": np.repeat(rows.true[t], counts[t])})
+                                      "true_grid": np.repeat(rows.sorted_true.values, counts[t])})
 
     def _steps(self, state):
         # the right-continuous empirical CDF of the imputed grid picks an
@@ -133,8 +133,10 @@ class Isotonic(StepMap):
         return fit_isotonic(imputed, true)
 
     def fit_counts(self, calib):
-        rows, i = calib.rows, calib.rows.imputed_order
-        return FittedRectifier(self, _pooled_isotonic(rows.imputed[i], rows.true[i], calib.counts[i]))
+        rows = calib.rows
+        state = _pooled_isotonic(rows.knots, rows.knot_of, rows.true_by_imputed,
+                                 calib.counts[rows.imputed_order])
+        return FittedRectifier(self, state)
 
     def _steps(self, state):
         knots = state["knots"]
@@ -254,17 +256,28 @@ class FittedRectifier:
 class SortedRows:
     """The labeled true and imputed outcomes, each with the order that sorts
     it, found once per posterior run.  `take` gives a `Resample` of the rows,
-    on which a step rectifier is fit without sorting again."""
+    on which a step rectifier is fit without sorting again.
+
+    `sorted_true` is the true outcomes in `true_order`.  For an isotonic
+    fit, `knots` are the distinct imputed values, `knot_of` gives the knot
+    of each row in `imputed_order`, and `true_by_imputed` their true
+    outcomes in that order.
+    """
 
     true: np.ndarray
     imputed: np.ndarray
     true_order: np.ndarray
     imputed_order: np.ndarray
+    sorted_true: Outcomes
+    knots: np.ndarray
+    knot_of: np.ndarray
+    true_by_imputed: np.ndarray
 
     @classmethod
     def of(cls, labeled: LabeledSample) -> "SortedRows":
         true, imputed = _paired_real(labeled)
-        return cls(true, imputed, np.argsort(true, kind="stable"), np.argsort(imputed, kind="stable"))
+        t, i = np.argsort(true, kind="stable"), np.argsort(imputed, kind="stable")
+        return cls(true, imputed, t, i, Outcomes.real(true[t]), *_knots(imputed[i]), true[i])
 
     @property
     def n(self) -> int:
@@ -360,20 +373,26 @@ def fit_isotonic(calib_imputed, calib_true) -> FittedRectifier:
     if x.size != y.size or x.size < 1:
         raise ParameterError("calibration vectors must be nonempty and of equal length")
     order = np.argsort(x, kind="stable")
-    return FittedRectifier(Isotonic(), _pooled_isotonic(x[order], y[order], np.ones(x.size)))
+    return FittedRectifier(Isotonic(), _pooled_isotonic(*_knots(x[order]), y[order],
+                                                        np.ones(x.size)))
 
 
-def _pooled_isotonic(x, y, counts):
-    """Isotonic state for rows sorted by imputed value x, row i counted
-    counts[i] times: rows of equal x are pooled into one knot weighted by
-    their total count, then PAVA fits the knots' mean true values.  Rows
-    with count 0 are left out."""
+def _knots(x):
+    """The distinct values of the ascending x, and the index of each row's."""
     first = np.concatenate([[True], x[1:] != x[:-1]])
-    knot = np.cumsum(first) - 1
-    mass = np.bincount(knot, weights=counts)
-    sums = np.bincount(knot, weights=counts * y)
+    return x[first], np.cumsum(first) - 1
+
+
+def _pooled_isotonic(knots, knot_of, y, counts):
+    """Isotonic state for rows sorted by imputed value, from `_knots` of
+    those values, with true values y and row i counted counts[i] times: the
+    rows of each knot are pooled into one weighted by their total count,
+    then PAVA fits the knots' mean true values.  Knots whose rows all have
+    count 0 are left out."""
+    mass = np.bincount(knot_of, weights=counts)
+    sums = np.bincount(knot_of, weights=counts * y)
     kept = mass > 0
-    return {"knots": x[first][kept], "fitted": pava(sums[kept] / mass[kept], mass[kept])}
+    return {"knots": knots[kept], "fitted": pava(sums[kept] / mass[kept], mass[kept])}
 
 
 def _base_real_values(base: AtomicMeasure):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import softmax
 
@@ -178,6 +180,25 @@ class TestSolvers:
             w = rng.uniform(0.05, 1.0, size=k)
             tau = float(rng.uniform(0.05, 0.95))
             assert weighted_quantile(y, w, tau) == brute_force_weighted_quantile(y, w, tau)
+
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=40), st.data(), st.integers(1, 19))
+    @settings(max_examples=200, deadline=None)
+    def test_quantile_of_sorted_rows_is_the_row_order_quantile(self, ints, data, tau_step):
+        # a posterior draw may present its labeled outcomes sorted, then its
+        # ascending levels, which are some of those same values; the
+        # quantile must be the one of the rows in row order, bit for bit
+        labeled = np.array(ints) / 4.0
+        distinct = np.unique(labeled)
+        keep = data.draw(st.lists(st.booleans(), min_size=distinct.size, max_size=distinct.size))
+        levels = distinct[np.array(keep, dtype=bool)]
+        w = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=labeled.size + levels.size,
+                                        max_size=labeled.size + levels.size)))
+        tau = tau_step / 20
+        n, order = labeled.size, np.argsort(labeled, kind="stable")
+        in_rows = weighted_quantile(np.concatenate([labeled, levels]), w, tau)
+        presorted = weighted_quantile(np.concatenate([labeled[order], levels]),
+                                      np.concatenate([w[:n][order], w[n:]]), tau)
+        assert presorted == in_rows
 
     def test_ols_interpolating_solution(self):
         x = np.array([[1.0], [2.0], [3.0]])

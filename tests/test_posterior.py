@@ -357,6 +357,8 @@ class TestRunPlan:
         ("monotone-distortion", QuantileLoss(0.5), QuantileMap(), Npb()),
         ("monotone-distortion", QuantileLoss(0.9), Isotonic(), Npb()),
         ("monotone-distortion", MeanLoss(), Isotonic(), Split(0.5)),
+        ("monotone-distortion", QuantileLoss(0.1), QuantileMap(), Npb()),
+        ("monotone-distortion", QuantileLoss(0.1), Isotonic(), Split(0.5)),
     ])
     def test_run_matches_from_scratch_draws(self, scenario, loss, rectifier, strategy):
         # what a run builds once must leave every draw bit-identical to the

@@ -203,6 +203,33 @@ class TestStepLevels:
                 assert got[key].dtype == want[key].dtype
                 assert got[key].tobytes() == want[key].tobytes(), key
 
+    def test_isotonic_cached_knots_match_per_draw_pooling(self):
+        # the knots cached in SortedRows must give the fit that pooling the
+        # resample's rows afresh gives, byte for byte, with knots of count 0
+        def pooled_afresh(x, y, counts):
+            first = np.concatenate([[True], x[1:] != x[:-1]])
+            knot = np.cumsum(first) - 1
+            mass = np.bincount(knot, weights=counts)
+            sums = np.bincount(knot, weights=counts * y)
+            kept = mass > 0
+            return {"knots": x[first][kept], "fitted": pava(sums[kept] / mass[kept], mass[kept])}
+
+        rng = np.random.default_rng(6)
+        empty_knots = 0
+        for b in range(200):
+            labeled = tied_calibration(rng, int(rng.integers(1, 60)))
+            rows = SortedRows.of(labeled)
+            counts = np.bincount(rng.integers(0, labeled.n, labeled.n), minlength=labeled.n)
+            got = Isotonic().fit_counts(Resample(rows, counts)).state
+            i = rows.imputed_order
+            want = pooled_afresh(rows.imputed[i], rows.true[i], counts[i])
+            empty_knots += got["knots"].size < np.unique(rows.imputed).size
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key].dtype == want[key].dtype
+                assert got[key].tobytes() == want[key].tobytes(), key
+        assert empty_knots > 50
+
     def test_isotonic_from_counts_matches_the_resample_fit(self):
         # the pooled sums add each row once times its count instead of once
         # per copy, so they agree up to rounding
