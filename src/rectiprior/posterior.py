@@ -214,7 +214,7 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     gamma * n, spread over the atoms by their weights), and solve the
     combined weighted problem.  Steps whose result `plan` (from `plan_run`)
     holds are skipped; without a plan the draw does every step itself.  A
-    loss that reads no covariates gets none.
+    draw stacks covariates only for a loss that reads them.
     """
     rng = RngStream(config.seed, (draw_index,))
     if config.gamma == 0.0:

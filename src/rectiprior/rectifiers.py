@@ -113,9 +113,9 @@ class QuantileMap(StepMap):
 
     def fit_counts(self, calib):
         rows, counts = calib.rows, calib.counts
-        t, i = rows.true_order, rows.imputed_order
-        return FittedRectifier(self, {"imputed_grid": np.repeat(rows.imputed[i], counts[i]),
-                                      "true_grid": np.repeat(rows.sorted_true.values, counts[t])})
+        return FittedRectifier(self, {
+            "imputed_grid": np.repeat(rows.sorted_imputed, counts[rows.imputed_order]),
+            "true_grid": np.repeat(rows.sorted_true.values, counts[rows.true_order])})
 
     def _steps(self, state):
         # the right-continuous empirical CDF of the imputed grid picks an
@@ -254,21 +254,21 @@ class FittedRectifier:
 
 @dataclass(frozen=True)
 class SortedRows:
-    """The labeled true and imputed outcomes, each with the order that sorts
-    it, found once per posterior run.  `take` gives a `Resample` of the rows,
-    on which a step rectifier is fit without sorting again.
+    """The labeled rows sorted by true and by imputed outcome, found once per
+    posterior run.  `take` gives a `Resample` of the rows, on which a step
+    rectifier is fit without sorting again.
 
-    `sorted_true` is the true outcomes in `true_order`.  For an isotonic
-    fit, `knots` are the distinct imputed values, `knot_of` gives the knot
-    of each row in `imputed_order`, and `true_by_imputed` their true
-    outcomes in that order.
+    `true_order` and `imputed_order` are the stable orders that sort the
+    rows, and `sorted_true` and `sorted_imputed` the outcomes in them.  For
+    an isotonic fit, `knots` are the distinct imputed values, `knot_of` gives
+    the knot of each row in `imputed_order`, and `true_by_imputed` their
+    true outcomes in that order.
     """
 
-    true: np.ndarray
-    imputed: np.ndarray
     true_order: np.ndarray
     imputed_order: np.ndarray
     sorted_true: Outcomes
+    sorted_imputed: np.ndarray
     knots: np.ndarray
     knot_of: np.ndarray
     true_by_imputed: np.ndarray
@@ -277,11 +277,11 @@ class SortedRows:
     def of(cls, labeled: LabeledSample) -> "SortedRows":
         true, imputed = _paired_real(labeled)
         t, i = np.argsort(true, kind="stable"), np.argsort(imputed, kind="stable")
-        return cls(true, imputed, t, i, Outcomes.real(true[t]), *_knots(imputed[i]), true[i])
+        return cls(t, i, Outcomes.real(true[t]), imputed[i], *_knots(imputed[i]), true[i])
 
     @property
     def n(self) -> int:
-        return self.true.size
+        return self.true_order.size
 
     def take(self, idx) -> "Resample":
         return Resample(self, np.bincount(idx, minlength=self.n))
