@@ -421,7 +421,7 @@ def weighted_quantile(values, weights, tau) -> float:
     total = cum[-1]
     idx = int(np.searchsorted(cum, tau * total - 1e-12 * total))
     idx = min(idx, len(cum) - 1)
-    return float(values[order][idx])
+    return float(values[order[idx]])
 
 
 _NEWTON_CAP = 100
