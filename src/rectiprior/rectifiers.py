@@ -277,7 +277,8 @@ class SortedRows:
     def of(cls, labeled: LabeledSample) -> "SortedRows":
         true, imputed = _paired_real(labeled)
         t, i = np.argsort(true, kind="stable"), np.argsort(imputed, kind="stable")
-        return cls(t, i, Outcomes.real(true[t]), imputed[i], *_knots(imputed[i]), true[i])
+        sorted_imputed = imputed[i]
+        return cls(t, i, Outcomes.real(true[t]), sorted_imputed, *_knots(sorted_imputed), true[i])
 
     @property
     def n(self) -> int:
