@@ -2,7 +2,6 @@
 
 from .measures import (
     AtomicMeasure,
-    DirichletWeights,
     LabeledSample,
     Outcomes,
     RngStream,

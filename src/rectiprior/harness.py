@@ -16,7 +16,7 @@ from .diagnostics import (
     interval_score,
     labeled_erm,
 )
-from .exceptions import CapabilityError, IngestionError, ParameterError
+from .exceptions import CapabilityError, IngestionError, OutcomeTypeError, ParameterError
 from .losses import (
     LinearRegressionLoss,
     LossSpec,
@@ -24,7 +24,7 @@ from .losses import (
     QuantileLoss,
     is_classification,
 )
-from .measures import AtomicMeasure, LabeledSample, Outcomes, RngStream
+from .measures import CLASS, PROBS, REAL, AtomicMeasure, LabeledSample, Outcomes, RngStream
 from .posterior import PriorConfig, run_posterior
 from .rectifiers import CalibrationStrategy, Identity, Npb, RectifierSpec
 
@@ -171,11 +171,15 @@ def _parse_float(cell, line_no):
 
 
 def _read_header(path):
+    """The header row and d, the count of its leading x1..xd columns."""
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
     if header is None:
         raise IngestionError("empty file", line=1)
-    return header
+    d = 0
+    while d < len(header) and header[d] == f"x{d + 1}":
+        d += 1
+    return header, d
 
 
 _LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
@@ -210,11 +214,24 @@ def _read_body(path, width) -> np.ndarray:
     return table
 
 
-def _x_columns(header):
-    d = 0
-    while d < len(header) and header[d] == f"x{d + 1}":
-        d += 1
-    return d
+def _imputation_kind(names):
+    """REAL for one yhat column, PROBS for p1..pC, None for any other names."""
+    if names == ["yhat"]:
+        return REAL
+    if names and names == [f"p{j + 1}" for j in range(len(names))]:
+        return PROBS
+    return None
+
+
+def _imputations(kind, block) -> Outcomes:
+    """The parsed imputation columns as outcomes; probability rows are renormalised."""
+    if kind == REAL:
+        return Outcomes.real(block[:, 0])
+    sums = block.sum(axis=1)
+    bad = np.nonzero(sums <= 0)[0]
+    if bad.size:
+        raise IngestionError("probability row sums to zero", line=int(bad[0]) + 2)
+    return Outcomes.probs(block / sums[:, None])
 
 
 def load_labeled_csv(path, num_classes=None) -> LabeledSample:
@@ -223,102 +240,78 @@ def load_labeled_csv(path, num_classes=None) -> LabeledSample:
     Optional trailing columns yhat or p1..pC attach per-row imputations for
     paired rectifiers.
     """
-    header = _read_header(path)
-    d = _x_columns(header)
+    header, d = _read_header(path)
     rest = header[d:]
     if not rest or rest[0] not in ("y", "y_class"):
         raise IngestionError("expected a y or y_class column after x1..xd", line=1)
-    kind = rest[0]
-    imp_cols = rest[1:]
-    if imp_cols and imp_cols != ["yhat"] and imp_cols != [f"p{j + 1}" for j in range(len(imp_cols))]:
+    imp_kind = _imputation_kind(rest[1:])
+    if rest[1:] and imp_kind is None:
         raise IngestionError("imputation columns must be yhat or p1..pC", line=1)
-    if kind == "y_class" and num_classes is None:
-        if imp_cols and imp_cols[0].startswith("p"):
-            num_classes = len(imp_cols)
-        else:
+    if rest[0] == "y_class" and num_classes is None:
+        if imp_kind != PROBS:
             raise IngestionError("class outcomes need a declared number of classes", line=1)
+        num_classes = len(rest) - 1
 
     table = _read_body(path, len(header))
     ys = table[:, d]
-    imputed = None
-    if imp_cols == ["yhat"]:
-        imputed = Outcomes.real(table[:, d + 1])
-    elif imp_cols:
-        imputed = Outcomes.probs(_renorm_probs(table[:, d + 1:]))
-    if kind == "y":
+    imputed = _imputations(imp_kind, table[:, d + 1:]) if imp_kind else None
+    if rest[0] == "y":
         outcomes = Outcomes.real(ys)
     else:
-        if np.any(ys != np.round(ys)):
-            raise IngestionError("y_class entries must be integers", line=2)
+        bad = np.nonzero((ys != np.round(ys)) | (ys < 0) | (ys >= num_classes))[0]
+        if bad.size:
+            raise IngestionError(f"y_class entries must be integers in [0, {num_classes})",
+                                 line=int(bad[0]) + 2)
         outcomes = Outcomes.classes(ys.astype(int), num_classes)
     return LabeledSample(table[:, :d], outcomes, imputed)
 
 
-def _renorm_probs(p):
-    sums = p.sum(axis=1)
-    bad = np.nonzero(sums <= 0)[0]
-    if bad.size:
-        raise IngestionError("probability row sums to zero", line=int(bad[0]) + 2)
-    return p / sums[:, None]
-
-
 def load_base_csv(path) -> AtomicMeasure:
     """Read a base measure: columns x1..xd plus yhat or p1..pC, uniform weights."""
-    header = _read_header(path)
-    d = _x_columns(header)
-    rest = header[d:]
-    if rest == ["yhat"]:
-        kind = "real"
-    elif rest and rest == [f"p{j + 1}" for j in range(len(rest))]:
-        kind = "probs"
-    else:
+    header, d = _read_header(path)
+    kind = _imputation_kind(header[d:])
+    if kind is None:
         raise IngestionError("expected yhat or p1..pC columns after x1..xd", line=1)
     table = _read_body(path, len(header))
-    if kind == "real":
-        outcomes = Outcomes.real(table[:, d])
-    else:
-        outcomes = Outcomes.probs(_renorm_probs(table[:, d:]))
-    return AtomicMeasure(table[:, :d], outcomes)
+    return AtomicMeasure(table[:, :d], _imputations(kind, table[:, d:]))
+
+
+def _write_csv(path, covariates, *groups):
+    """Stream covariates as x1..xd, then each (outcomes, real_name) group.
+
+    Real values go under real_name, class labels under y_class and
+    probabilities under p1..pC; a None group is skipped.  Only the y group
+    may hold labels and only the others probabilities, as the loaders read
+    them; anything else raises before the file is opened.
+    """
+    header = [f"x{j + 1}" for j in range(covariates.shape[1])]
+    columns = [(column, float.__repr__) for column in covariates.T]
+    for outcomes, real_name in groups:
+        if outcomes is None:
+            continue
+        if outcomes.kind == REAL:
+            header.append(real_name)
+            columns.append((outcomes.values, float.__repr__))
+        elif outcomes.kind == CLASS and real_name == "y":
+            header.append("y_class")
+            columns.append((outcomes.values, str))
+        elif outcomes.kind == PROBS and real_name != "y":
+            header.extend(f"p{j + 1}" for j in range(outcomes.num_classes))
+            columns.extend((column, float.__repr__) for column in outcomes.values.T)
+        else:
+            raise OutcomeTypeError(f"{outcomes.kind} outcomes cannot be written as {real_name}")
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*(map(fmt, column) for column, fmt in columns)))
 
 
 def write_labeled_csv(path, labeled: LabeledSample):
-    d = labeled.d_x
-    header = [f"x{j + 1}" for j in range(d)]
-    header.append("y" if labeled.outcomes.kind == "real" else "y_class")
-    if labeled.imputed is not None:
-        if labeled.imputed.kind == "real":
-            header.append("yhat")
-        else:
-            header.extend(f"p{j + 1}" for j in range(labeled.imputed.num_classes))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(labeled.n):
-            row = [_fmt(v) for v in labeled.covariates[i]]
-            if labeled.outcomes.kind == "real":
-                row.append(_fmt(labeled.outcomes.values[i]))
-            else:
-                row.append(str(int(labeled.outcomes.values[i])))
-            if labeled.imputed is not None:
-                vals = np.atleast_1d(labeled.imputed.values[i])
-                row.extend(_fmt(v) for v in vals)
-            w.writerow(row)
+    _write_csv(path, labeled.covariates, (labeled.outcomes, "y"), (labeled.imputed, "yhat"))
 
 
 def write_base_csv(path, base: AtomicMeasure):
-    d = base.covariates.shape[1]
-    header = [f"x{j + 1}" for j in range(d)]
-    if base.outcomes.kind == "real":
-        header.append("yhat")
-    else:
-        header.extend(f"p{j + 1}" for j in range(base.outcomes.num_classes))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(base.k):
-            row = [_fmt(v) for v in base.covariates[i]]
-            row.extend(_fmt(v) for v in np.atleast_1d(base.outcomes.values[i]))
-            w.writerow(row)
+    _write_csv(path, base.covariates, (base.outcomes, "yhat"))
 
 
 # ---------------------------------------------------------------------------

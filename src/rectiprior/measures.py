@@ -205,25 +205,10 @@ class AtomicMeasure:
         return measure
 
 
-@dataclass(frozen=True)
-class DirichletWeights:
-    """One joint Dirichlet draw: `weights` over the n labeled rows, then the base atoms."""
-
-    weights: np.ndarray
-    n: int
-
-    @property
-    def labeled_w(self) -> np.ndarray:
-        return self.weights[:self.n]
-
-    @property
-    def base_w(self) -> np.ndarray:
-        return self.weights[self.n:]
-
-
 def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
-                             base_weights=None) -> DirichletWeights:
-    """Draw (w_1..w_n, wt_1..wt_k) ~ Dirichlet(1,...,1, alpha*v_1,...,alpha*v_k).
+                             base_weights=None) -> np.ndarray:
+    """Draw (w_1..w_n, wt_1..wt_k) ~ Dirichlet(1,...,1, alpha*v_1,...,alpha*v_k)
+    as one vector, the n labeled weights first.
 
     v is `base_weights`, the base measure's atom weights (uniform 1/k when
     omitted).  Sampling goes through independent Gamma variates normalized
@@ -252,7 +237,7 @@ def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
     else:
         base_g = gen.standard_gamma(alpha * w)
     g = np.maximum(np.concatenate([labeled_g, base_g]), np.finfo(float).tiny)
-    return DirichletWeights(g / g.sum(), n)
+    return g / g.sum()
 
 
 def sample_uniform_dirichlet(n: int, rng: RngStream) -> np.ndarray:

@@ -247,9 +247,9 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
         covs = (np.vstack([inference.covariates, rect.covariates]) if loss.reads_covariates
                 else np.empty((n + k, 0)))
 
-    dw = sample_dirichlet_weights(n, k, config.gamma * n, rng.child(2), rect.weights)
+    weights = sample_dirichlet_weights(n, k, config.gamma * n, rng.child(2), rect.weights)
     # clamped once, after the normalisation, which can leave quotients subnormal
-    weights = np.maximum(dw.weights, np.finfo(float).tiny)
+    weights = np.maximum(weights, np.finfo(float).tiny)
     if plan.presorted:
         weights[:n] = weights[plan.rows.true_order]
     problem = WeightedProblem(covs, outs, weights, loss)

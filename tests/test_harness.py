@@ -1,8 +1,14 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectiprior.cli import cli
-from rectiprior.exceptions import IngestionError, ParameterError
+from rectiprior.exceptions import IngestionError, OutcomeTypeError, ParameterError
 from rectiprior.harness import (
     RunConfig,
     ScenarioSpec,
@@ -142,6 +148,136 @@ class TestCsvRoundTrip:
             load_labeled_csv(p)
         sample = load_labeled_csv(p, num_classes=2)
         assert sample.outcomes.num_classes == 2
+
+    @pytest.mark.parametrize("labels,line", [("1 0 1.5", 4), ("1 2 1.5", 3), ("1 -1 0", 3)])
+    def test_bad_class_label_reports_its_line(self, tmp_path, labels, line):
+        # a non-integer label and a label outside [0, C) both name the first bad row
+        p = tmp_path / "c.csv"
+        p.write_text("x1,y_class\n" + "".join(f"0.0,{c}\n" for c in labels.split()))
+        with pytest.raises(IngestionError) as exc:
+            load_labeled_csv(p, num_classes=2)
+        assert exc.value.line == line
+
+    def test_class_label_base_is_not_written(self, tmp_path):
+        # a p1..pC header over one label cell per row could not be read back
+        base = AtomicMeasure(np.zeros((3, 1)), Outcomes.classes([0, 2, 1], 3))
+        p = tmp_path / "b.csv"
+        with pytest.raises(OutcomeTypeError):
+            write_base_csv(p, base)
+        assert not p.exists()
+
+    def test_class_label_imputations_are_not_written(self, tmp_path):
+        labeled = LabeledSample(np.zeros((3, 1)), Outcomes.real([0.5, 1.0, 2.0]),
+                                Outcomes.classes([0, 2, 1], 3))
+        p = tmp_path / "l.csv"
+        with pytest.raises(OutcomeTypeError):
+            write_labeled_csv(p, labeled)
+        assert not p.exists()
+
+
+def _reference_fmt(v):
+    return repr(float(v))
+
+
+def _reference_write_labeled(path, labeled):
+    # the per-row writer that the streaming column writer replaced
+    d = labeled.d_x
+    header = [f"x{j + 1}" for j in range(d)]
+    header.append("y" if labeled.outcomes.kind == "real" else "y_class")
+    if labeled.imputed is not None:
+        if labeled.imputed.kind == "real":
+            header.append("yhat")
+        else:
+            header.extend(f"p{j + 1}" for j in range(labeled.imputed.num_classes))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i in range(labeled.n):
+            row = [_reference_fmt(v) for v in labeled.covariates[i]]
+            if labeled.outcomes.kind == "real":
+                row.append(_reference_fmt(labeled.outcomes.values[i]))
+            else:
+                row.append(str(int(labeled.outcomes.values[i])))
+            if labeled.imputed is not None:
+                vals = np.atleast_1d(labeled.imputed.values[i])
+                row.extend(_reference_fmt(v) for v in vals)
+            w.writerow(row)
+
+
+def _reference_write_base(path, base):
+    d = base.covariates.shape[1]
+    header = [f"x{j + 1}" for j in range(d)]
+    if base.outcomes.kind == "real":
+        header.append("yhat")
+    else:
+        header.extend(f"p{j + 1}" for j in range(base.outcomes.num_classes))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i in range(base.k):
+            row = [_reference_fmt(v) for v in base.covariates[i]]
+            row.extend(_reference_fmt(v) for v in np.atleast_1d(base.outcomes.values[i]))
+            w.writerow(row)
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _outcomes(draw, kind, n):
+    if kind == "real":
+        return Outcomes.real(draw(st.lists(_FLOATS, min_size=n, max_size=n)))
+    c = draw(st.integers(2, 4))
+    if kind == "class":
+        return Outcomes.classes(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)), c)
+    cells = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1.0]), st.floats(0.0, 1.0))
+    raw = np.array(draw(st.lists(st.lists(cells, min_size=c, max_size=c),
+                                 min_size=n, max_size=n)))
+    raw[raw.sum(axis=1) == 0, 0] = 1.0
+    return Outcomes.probs(raw / raw.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def _csv_inputs(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    covariates = np.array(draw(st.lists(_FLOATS, min_size=n * d, max_size=n * d))).reshape(n, d)
+    if draw(st.booleans()):
+        return AtomicMeasure(covariates, draw(_outcomes(draw(st.sampled_from(["real", "probs"])), n)))
+    outcomes = draw(_outcomes(draw(st.sampled_from(["real", "class"])), n))
+    imputed = draw(st.sampled_from([None, "real", "probs"]))
+    return LabeledSample(covariates, outcomes,
+                         None if imputed is None else draw(_outcomes(imputed, n)))
+
+
+def _same_outcomes(got, want):
+    if want.kind == "probs":
+        return got.kind == "probs" and np.max(np.abs(got.values - want.values)) <= 1e-12
+    return got.kind == want.kind and got.values.tobytes() == want.values.tobytes()
+
+
+@given(_csv_inputs())
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_row_writer_and_reads_back(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        if isinstance(data, AtomicMeasure):
+            write_base_csv(got, data)
+            _reference_write_base(want, data)
+            back = load_base_csv(got)
+        else:
+            write_labeled_csv(got, data)
+            _reference_write_labeled(want, data)
+            back = load_labeled_csv(got, num_classes=data.outcomes.num_classes)
+            assert (back.imputed is None) == (data.imputed is None)
+            if data.imputed is not None:
+                assert _same_outcomes(back.imputed, data.imputed)
+        assert got.read_bytes() == want.read_bytes()
+    assert back.covariates.shape == data.covariates.shape
+    assert back.covariates.tobytes() == data.covariates.tobytes()
+    assert _same_outcomes(back.outcomes, data.outcomes)
 
 
 class TestRunBench:

@@ -20,15 +20,15 @@ from rectiprior.measures import (
 def _batch_weights(n, k, alpha, draws, seed=0):
     out = np.empty((draws, n + k))
     for b in range(draws):
-        dw = sample_dirichlet_weights(n, k, alpha, RngStream(seed, (b,)))
-        out[b] = np.concatenate([dw.labeled_w, dw.base_w])
+        out[b] = sample_dirichlet_weights(n, k, alpha, RngStream(seed, (b,)))
     return out
 
 
 class TestDirichletWeights:
     def test_simplex_normalization(self):
-        dw = sample_dirichlet_weights(1, 1, 7.3, RngStream(1))
-        assert dw.labeled_w[0] + dw.base_w[0] == pytest.approx(1.0, abs=1e-12)
+        w = sample_dirichlet_weights(1, 1, 7.3, RngStream(1))
+        assert w.shape == (2,)
+        assert w[0] + w[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_n2_k2_alpha2(self):
         # Dirichlet(1, 1, 1, 1): every marginal mean is 0.25
@@ -52,16 +52,16 @@ class TestDirichletWeights:
 
     def test_open_simplex_and_joint_sum(self):
         for b in range(200):
-            dw = sample_dirichlet_weights(5, 4, 1e-3, RngStream(3, (b,)))
-            joint = np.concatenate([dw.labeled_w, dw.base_w])
+            joint = sample_dirichlet_weights(5, 4, 1e-3, RngStream(3, (b,)))
+            assert joint.shape == (9,)
             assert np.all(joint > 0)
             assert joint.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_determinism(self):
         a = sample_dirichlet_weights(3, 2, 1.0, RngStream(42, (7,)))
         b = sample_dirichlet_weights(3, 2, 1.0, RngStream(42, (7,)))
-        assert np.array_equal(a.labeled_w, b.labeled_w)
-        assert np.array_equal(a.base_w, b.base_w)
+        assert np.array_equal(a[:3], b[:3])
+        assert np.array_equal(a[3:], b[3:])
 
     @pytest.mark.parametrize("weights", [None, "equal", "unequal"])
     def test_matches_one_gamma_call_over_all_shapes(self, weights):
@@ -76,9 +76,9 @@ class TestDirichletWeights:
             g = rng.generator().gamma(np.concatenate([np.ones(n), shapes]))
             g = np.maximum(g, np.finfo(float).tiny)
             g = g / g.sum()
-            dw = sample_dirichlet_weights(n, k, alpha, rng, w)
-            assert np.array_equal(dw.labeled_w, g[:n])
-            assert np.array_equal(dw.base_w, g[n:])
+            joint = sample_dirichlet_weights(n, k, alpha, rng, w)
+            assert np.array_equal(joint[:n], g[:n])
+            assert np.array_equal(joint[n:], g[n:])
             flat = rng.generator().gamma(np.ones(n))
             assert np.array_equal(sample_uniform_dirichlet(n, rng), flat / flat.sum())
 
@@ -190,7 +190,7 @@ class TestInvariantsAndValidation:
         # uniform bases, and weighted ones (zero atom weights included)
         k = len(raw)
         weights = np.array(raw) / sum(raw) if weighted and sum(raw) > 0 else None
-        dw = sample_dirichlet_weights(n, k, alpha, RngStream(seed), weights)
-        joint = np.concatenate([dw.labeled_w, dw.base_w])
+        joint = sample_dirichlet_weights(n, k, alpha, RngStream(seed), weights)
+        assert joint.shape == (n + k,)
         assert np.all(joint > 0)
         assert abs(joint.sum() - 1.0) < 1e-12

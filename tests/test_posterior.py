@@ -127,7 +127,7 @@ class TestPosteriorDraw:
         rng = RngStream(6, (9,))
         dw = sample_dirichlet_weights(12, 7, 1.5 * 12, rng.child(2))
         vals = np.concatenate([labeled.outcomes.values, base.outcomes.values])
-        w = np.concatenate([dw.labeled_w, dw.base_w * base.weights * 7])
+        w = np.concatenate([dw[:12], dw[12:] * base.weights * 7])
         assert theta[0] == pytest.approx(np.average(vals, weights=w), abs=1e-12)
 
     def test_gamma_positive_requires_base(self):
