@@ -39,7 +39,8 @@ from .losses import (
     QuantileLoss,
 )
 from .posterior import PriorConfig, run_posterior, serialize_run, summarize_run
-from .rectifiers import RECTIFIERS, STRATEGIES, fit_rectifier, serialize_rectifier
+from .rectifiers import (RECTIFIERS, STRATEGIES, apply_rectifier, fit_rectifier,
+                         serialize_rectifier)
 
 
 class UsageError(Exception):
@@ -214,11 +215,13 @@ def _cmd_diagnose(args):
     labeled, base = _load_data(args, loss)
     if base is None:
         raise UsageError("diagnose requires a base measure")
+    rect = apply_rectifier(fit_rectifier(RECTIFIERS[args.rectifier](), labeled, base), base)
     theta_tilde = labeled_erm(labeled, loss)
-    theta_mixed = mixed_erm(labeled, base, loss, args.gamma)
-    est = sandwich(labeled, base, loss, theta_mixed, args.gamma)
-    bias = predict_centering_bias(labeled, base, loss, theta_tilde, args.gamma)
-    lines = [f"mixed ERM theta: {theta_mixed}",
+    theta_mixed = mixed_erm(labeled, rect, loss, args.gamma)
+    est = sandwich(labeled, rect, loss, theta_mixed, args.gamma)
+    bias = predict_centering_bias(labeled, rect, loss, theta_tilde, args.gamma)
+    lines = [f"rectifier: {args.rectifier}, fit once on the whole labeled sample",
+             f"mixed ERM theta: {theta_mixed}",
              f"sandwich covariance diagonal: {est.cov.diagonal()}",
              f"predicted centering bias: {bias}"]
     report = "\n".join(lines)

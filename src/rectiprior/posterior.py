@@ -18,7 +18,6 @@ from .exceptions import ConvergenceError, ParameterError, RankDeficiencyError, R
 from .losses import LossSpec, WeightedProblem, is_classification, predict_probs, solve_weighted
 from .measures import (
     PROBS,
-    REAL,
     AtomicMeasure,
     LabeledSample,
     Outcomes,
@@ -101,13 +100,13 @@ class RunPlan:
     """The parts of a draw that are the same on every draw of a run.
 
     A field left None is built by each draw from its own random stream.
-    `rect` is the rectified base; `covariates` stacks the inference rows
-    over the base atoms; `outcomes` concatenates the inference outcomes and
-    the rectified base's.  `rows` and `sorted_base` are the sorted labeled
-    rows and base that a draw merging the base into a step rectifier's
-    levels calibrates on and rectifies (see `_merges_levels`).  When
-    `presorted`, such a draw infers on all labeled rows and presents them in
-    `rows.true_order` to a loss that `sorts_outcomes`.
+    `rect` is the rectified base; `covariates` are `_stack`ed for the
+    inference rows and the base atoms; `outcomes` concatenates the inference
+    outcomes and the rectified base's.  When the run `_merges_levels`,
+    `rows` and `sorted_base` are the sorted labeled rows and base that a
+    draw calibrates on and rectifies, and when `presorted`, a draw infers on
+    all labeled rows and presents them in `rows.true_order` to a loss that
+    `sorts_outcomes`.
     """
 
     rect: AtomicMeasure | None = None
@@ -130,75 +129,57 @@ def _rectifies_once(config: PriorConfig) -> bool:
 
 
 def _merges_levels(loss: LossSpec, config: PriorConfig) -> bool:
-    """Whether each draw rectifies the base straight into the levels of a
-    step rectifier refit on that draw, with the atoms of each level merged.
+    """Whether the base is rectified straight into the levels of a step
+    rectifier, with the atoms of each level merged into one.
 
-    As in `_merge_atoms` the law is unchanged for a loss that reads no
-    covariates.
+    A loss that reads no covariates sees the rectified base only through the
+    mass it puts on each outcome, and by the aggregation property of the
+    Dirichlet distribution the summed weights of merged atoms follow the law
+    of the unmerged ones, so the posterior law is unchanged.
     """
-    return (config.strategy.random_calibration and isinstance(config.rectifier, StepMap)
-            and not loss.reads_covariates)
+    return isinstance(config.rectifier, StepMap) and not loss.reads_covariates
 
 
-def _level_plan(labeled: LabeledSample, base: AtomicMeasure, loss: LossSpec,
-                config: PriorConfig) -> RunPlan:
-    """The plan of a run that `_merges_levels`.
-
-    Its rows are presented sorted when every draw infers on all of them and
-    the loss sorts them anyway: the levels follow them already ascending,
-    so the loss's stable sort meets two sorted runs, and ties stay labeled
-    rows first, then by row index, as in row order.
-    """
-    return RunPlan(rows=SortedRows.of(labeled), sorted_base=SortedBase.of(base),
-                   presorted=loss.sorts_outcomes and not config.strategy.random_inference)
-
-
-def _merge_atoms(rect: AtomicMeasure, loss: LossSpec) -> AtomicMeasure:
-    """`rect` with its atoms of equal outcome merged when `loss` reads no covariates.
-
-    Each distinct outcome keeps its first atom's covariate row and the sum
-    of its atoms' weights.  By the aggregation property of the Dirichlet
-    distribution the posterior law is unchanged, and a draw needs one Gamma
-    variate per distinct outcome instead of one per atom.  `rect` itself is
-    returned when nothing merges.
-    """
-    if loss.reads_covariates or rect.outcomes.kind != REAL:
-        return rect
-    values, first, inverse = np.unique(rect.outcomes.values, return_index=True,
-                                       return_inverse=True)
-    if values.size == rect.k:
-        return rect
-    weights = np.bincount(inverse, weights=rect.weights)
-    return AtomicMeasure(rect.covariates[first], Outcomes.real(values), weights / weights.sum())
+def _stack(inference: LabeledSample, rect: AtomicMeasure, loss: LossSpec) -> np.ndarray:
+    """The inference rows' covariates over the rectified atoms', for a loss
+    that reads them; an empty block of as many rows for one that does not."""
+    if loss.reads_covariates:
+        return np.vstack([inference.covariates, rect.covariates])
+    return np.empty((inference.n + rect.k, 0))
 
 
 def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
              config: PriorConfig) -> RunPlan:
     """Build once what every draw of the run would otherwise rebuild.
 
+    A run that `_merges_levels` sorts the labeled rows and the base once.
     The rectified base is fixed when the rectifier ignores its calibration
     sample or the strategy calibrates on the whole labeled sample every
-    time; its atoms of equal outcome are then merged for a loss that reads
-    no covariates.  Rectifiers never change covariates, so the stacked
-    covariates are fixed whenever the strategy infers on the whole labeled
-    sample, and the concatenated outcomes are too when the rectified base is
-    fixed and no class labels are drawn from it.
+    time.  Rectifiers never change covariates, so the stacked covariates are
+    fixed whenever the strategy infers on the whole labeled sample and the
+    number of rectified atoms is fixed, and the concatenated outcomes are
+    too when the rectified base is fixed and no class labels are drawn from
+    it.  Labeled rows are presented sorted when every draw infers on all of
+    them and the loss sorts them anyway: the levels follow them already
+    ascending, so the loss's stable sort meets two sorted runs, and ties
+    stay labeled rows first, then by row index, as in row order.
     """
     if config.gamma == 0.0 or base is None:
         return RunPlan()
+    rows = sorted_base = None
     if _merges_levels(loss, config):
-        return _level_plan(labeled, base, loss, config)
-    rect = None
+        rows, sorted_base = SortedRows.of(labeled), SortedBase.of(base)
+    presorted = rows is not None and loss.sorts_outcomes and not config.strategy.random_inference
+    rect = covariates = outcomes = None
     if _rectifies_once(config):
-        rect = apply_rectifier(fit_rectifier(config.rectifier, labeled, base), base)
-        rect = _merge_atoms(rect, loss)
-    if config.strategy.random_inference:
-        return RunPlan(rect)
-    covariates = np.vstack([labeled.covariates, (base if rect is None else rect).covariates])
-    outcomes = None
-    if rect is not None and not _realizes_labels(rect, loss):
-        outcomes = Outcomes.concat(labeled.outcomes, rect.outcomes)
-    return RunPlan(rect, covariates, outcomes)
+        rect = apply_rectifier(fit_rectifier(config.rectifier, labeled, base), sorted_base or base)
+    # a draw rectifying into the levels of its own fit has as many atoms as levels
+    if not config.strategy.random_inference and (rect is not None or rows is None):
+        covariates = _stack(labeled, base if rect is None else rect, loss)
+        if rect is not None and not _realizes_labels(rect, loss):
+            outcomes = Outcomes.concat(rows.sorted_true if presorted else labeled.outcomes,
+                                       rect.outcomes)
+    return RunPlan(rect, covariates, outcomes, rows, sorted_base, presorted)
 
 
 def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
@@ -207,14 +188,12 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     """One posterior bootstrap draw with stream id = draw_index.
 
     Steps: build the calibration/inference split, fit the rectifier and
-    rectify the base measure (merging atoms as `plan_run` does when the
-    rectified base is fixed, or into a step rectifier's levels when
+    rectify the base measure (into a step rectifier's levels when
     `_merges_levels`), realize class labels when the base carries
     probability atoms, sample the conjugate Dirichlet weights (alpha =
     gamma * n, spread over the atoms by their weights), and solve the
     combined weighted problem.  Steps whose result `plan` (from `plan_run`)
-    holds are skipped; without a plan the draw does every step itself.  A
-    draw stacks covariates only for a loss that reads them.
+    holds are skipped; without a plan the draw builds it first.
     """
     rng = RngStream(config.seed, (draw_index,))
     if config.gamma == 0.0:
@@ -224,9 +203,7 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
 
     if base is None:
         raise ParameterError("base measure required when gamma > 0")
-    plan = plan or RunPlan()
-    if plan.rows is None and _merges_levels(loss, config):
-        plan = _level_plan(labeled, base, loss, config)
+    plan = plan or plan_run(labeled, base, loss, config)
     rect, covs, outs = plan.rect, plan.covariates, plan.outcomes
     inference = labeled
     if rect is None or covs is None:
@@ -235,17 +212,14 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
         if rect is None:
             fitted = fit_rectifier(config.rectifier, calib, base)
             rect = apply_rectifier(fitted, plan.sorted_base or base)
-            if _rectifies_once(config):
-                rect = _merge_atoms(rect, loss)
     if outs is None:
         if _realizes_labels(rect, loss):
             rect = realize_class_labels(rect, rng.child(1))
         labeled_outs = plan.rows.sorted_true if plan.presorted else inference.outcomes
         outs = Outcomes.concat(labeled_outs, rect.outcomes)
-    n, k = inference.n, rect.k
     if covs is None:
-        covs = (np.vstack([inference.covariates, rect.covariates]) if loss.reads_covariates
-                else np.empty((n + k, 0)))
+        covs = _stack(inference, rect, loss)
+    n, k = inference.n, rect.k
 
     weights = sample_dirichlet_weights(n, k, config.gamma * n, rng.child(2), rect.weights)
     # clamped once, after the normalisation, which can leave quotients subnormal

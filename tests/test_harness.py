@@ -385,6 +385,21 @@ class TestCli:
         assert code == 0
         assert "predicted centering bias" in capsys.readouterr().out
 
+    def test_diagnose_reports_the_rectified_prior(self, capsys):
+        # the monotone distortion biases the raw base; the report must be
+        # for the base rectified by --rectifier, whose bias is far smaller
+        def report(rectifier):
+            assert cli(["diagnose", "--scenario", "monotone-distortion", "--n", "300",
+                        "--n-unlabeled", "2000", "--gamma", "1", "--rectifier", rectifier]) == 0
+            out = capsys.readouterr().out
+            line = next(l for l in out.splitlines() if l.startswith("predicted centering bias"))
+            return out, float(line.split("[")[1].rstrip("]"))
+
+        raw_report, raw = report("identity")
+        rectified_report, rectified = report("quantile-map")
+        assert rectified_report != raw_report
+        assert abs(rectified) < abs(raw)
+
     def test_usage_error_is_1(self, capsys):
         assert cli(["infer"]) == 1
         assert cli(["infer", "--loss", "logistic", "--scenario",

@@ -361,8 +361,8 @@ class TestRunPlan:
         ("monotone-distortion", QuantileLoss(0.1), Isotonic(), Split(0.5)),
     ])
     def test_run_matches_from_scratch_draws(self, scenario, loss, rectifier, strategy):
-        # what a run builds once must leave every draw bit-identical to the
-        # same draw computed on its own
+        # a draw called without a plan builds the run's plan itself, so it
+        # must be bit-identical to the same draw of the run
         labeled, base, _ = generate_scenario(ScenarioSpec(scenario, n=60, n_unlabeled=90, seed=3))
         config = PriorConfig(gamma=1.0, draws=12, rectifier=rectifier, strategy=strategy,
                              seed=21, threads=2)
@@ -377,7 +377,7 @@ class TestRunPlan:
     ], ids=["two-atoms", "ten-atoms"])
     def test_weighted_base_follows_conjugate_law(self, outcomes, weights):
         # labeled outcomes 0 and a base putting mass 0.9 on 0 and 0.1 on 1,
-        # as two weighted atoms or as ten uniform ones that the run merges:
+        # as two weighted atoms or as ten uniform ones with tied outcomes:
         # each mean-loss draw is the weight on outcome 1, which under
         # Dirichlet(1 x 20, 9, 1) has mean 1/30 and sd 0.032
         n, gamma, draws = 20, 0.5, 4000
@@ -392,30 +392,34 @@ class TestRunPlan:
             se = np.sqrt(a.var() / draws + b.var() / draws)
             assert abs(a.mean() - b.mean()) < 5 * se, moment
 
-    @pytest.mark.parametrize("rectifier,loss,k", [(QuantileMap(), MeanLoss(), 80),
-                                                  (Isotonic(), QuantileLoss(0.9), 80),
-                                                  (QuantileMap(), MeanLoss(), 20)],
-                             ids=["quantile-map-mean", "isotonic-quantile", "small-base"])
-    def test_merged_levels_follow_unmerged_law(self, rectifier, loss, k):
+    @pytest.mark.parametrize("rectifier,loss,k,strategy", [
+        (QuantileMap(), MeanLoss(), 80, Npb()),
+        (Isotonic(), QuantileLoss(0.9), 80, Npb()),
+        (QuantileMap(), MeanLoss(), 20, Npb()),
+        (Isotonic(), QuantileLoss(0.9), 80, Fixed()),
+    ], ids=["quantile-map-mean", "isotonic-quantile", "small-base", "fixed-isotonic-quantile"])
+    def test_merged_levels_follow_unmerged_law(self, rectifier, loss, k, strategy):
         # each draw merges its rectified base into the rectifier's levels;
         # its draws must follow the law of Dirichlet weights over the
-        # unmerged atoms, with a resample and a rectifier fit of their own.
-        # The base sits above the labeled imputations, so its levels carry
-        # very unequal mass.
+        # unmerged atoms, with a resample and a rectifier fit of their own
+        # under Npb, or with the one fit on the whole labeled sample under
+        # Fixed.  The base sits above the labeled imputations, so its levels
+        # carry very unequal mass.
         rng = np.random.default_rng(4)
         n, gamma, draws = 30, 1.0, 3000
         y = rng.normal(size=n)
         labeled = LabeledSample(np.zeros((n, 1)), Outcomes.real(y),
                                 Outcomes.real(y + 0.5 * rng.normal(size=n)))
         base = AtomicMeasure(np.zeros((k, 1)), Outcomes.real(1.0 + 0.5 * rng.normal(size=k)))
-        config = PriorConfig(gamma=gamma, draws=draws, rectifier=rectifier, strategy=Npb(), seed=8)
+        config = PriorConfig(gamma=gamma, draws=draws, rectifier=rectifier, strategy=strategy,
+                             seed=8)
         assert plan_run(labeled, base, loss, config).rows is not None
         engine = run_posterior(labeled, base, loss, config).samples[:, 0]
         gen = np.random.default_rng(8)
         covs = np.vstack([labeled.covariates, base.covariates])
         exact = np.empty(draws)
         for b in range(draws):
-            calib = labeled.take(gen.integers(0, n, n))
+            calib = labeled if isinstance(strategy, Fixed) else labeled.take(gen.integers(0, n, n))
             rect = apply_rectifier(fit_rectifier(rectifier, calib, base), base)
             w = gen.dirichlet(np.concatenate([np.ones(n), np.full(k, gamma * n / k)]))
             problem = WeightedProblem(covs, Outcomes.concat(labeled.outcomes, rect.outcomes),
@@ -440,7 +444,7 @@ class TestRunPlan:
         assert merges(MeanLoss(), QuantileMap(), Npb(), small)
         assert not merges(LinearRegressionLoss(), QuantileMap(), Npb())
         assert not merges(MeanLoss(), MomentShift(), Npb())
-        assert not merges(MeanLoss(), QuantileMap(), Fixed())
+        assert merges(MeanLoss(), QuantileMap(), Fixed())
 
     def test_merges_atoms_only_for_covariate_free_losses(self):
         labeled, base, _ = generate_scenario(ScenarioSpec("monotone-distortion", n=60,
