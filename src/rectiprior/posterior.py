@@ -32,10 +32,11 @@ from .rectifiers import (
     CalibrationStrategy,
     Fixed,
     Identity,
+    RecalibBase,
+    RecalibRows,
     RectifierSpec,
     SortedBase,
     SortedRows,
-    StepMap,
     apply_rectifier,
     fit_rectifier,
     make_calibration_sample,
@@ -100,20 +101,22 @@ class RunPlan:
     """The parts of a draw that are the same on every draw of a run.
 
     A field left None is built by each draw from its own random stream.
-    `rect` is the rectified base; `covariates` are `_stack`ed for the
-    inference rows and the base atoms; `outcomes` concatenates the inference
-    outcomes and the rectified base's.  When the run `_merges_levels`,
-    `rows` and `sorted_base` are the sorted labeled rows and base that a
-    draw calibrates on and rectifies, and when `presorted`, a draw infers on
-    all labeled rows and presents them in `rows.true_order` to a loss that
+    `rows` and `target` are the labeled rows and the base as the rectifier's
+    `prepare` gives them: a draw calibrates on a `Resample` of the rows when
+    there are any, and rectifies the target.  `rect` is the rectified base;
+    `covariates` are `_stack`ed for the inference rows and the base atoms;
+    `outcomes` concatenates the inference outcomes and the rectified base's.
+    When the target is a `SortedBase`, a draw rectifies it into the levels
+    of a step rectifier, and when `presorted`, a draw infers on all labeled
+    rows and presents them in `rows.true_order` to a loss that
     `sorts_outcomes`.
     """
 
     rect: AtomicMeasure | None = None
     covariates: np.ndarray | None = None
     outcomes: Outcomes | None = None
-    rows: SortedRows | None = None
-    sorted_base: SortedBase | None = None
+    rows: SortedRows | RecalibRows | None = None
+    target: AtomicMeasure | SortedBase | RecalibBase | None = None
     presorted: bool = False
 
 
@@ -128,18 +131,6 @@ def _rectifies_once(config: PriorConfig) -> bool:
     return not (config.strategy.random_calibration and config.rectifier.calibrated)
 
 
-def _merges_levels(loss: LossSpec, config: PriorConfig) -> bool:
-    """Whether the base is rectified straight into the levels of a step
-    rectifier, with the atoms of each level merged into one.
-
-    A loss that reads no covariates sees the rectified base only through the
-    mass it puts on each outcome, and by the aggregation property of the
-    Dirichlet distribution the summed weights of merged atoms follow the law
-    of the unmerged ones, so the posterior law is unchanged.
-    """
-    return isinstance(config.rectifier, StepMap) and not loss.reads_covariates
-
-
 def _stack(inference: LabeledSample, rect: AtomicMeasure, loss: LossSpec) -> np.ndarray:
     """The inference rows' covariates over the rectified atoms', for a loss
     that reads them; an empty block of as many rows for one that does not."""
@@ -152,8 +143,9 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
              config: PriorConfig) -> RunPlan:
     """Build once what every draw of the run would otherwise rebuild.
 
-    A run that `_merges_levels` sorts the labeled rows and the base once.
-    The rectified base is fixed when the rectifier ignores its calibration
+    The rectifier's `prepare` gives the labeled rows and the base as its
+    fits and applies take them (sorted, or as recalibration features).  The
+    rectified base is fixed when the rectifier ignores its calibration
     sample or the strategy calibrates on the whole labeled sample every
     time.  Rectifiers never change covariates, so the stacked covariates are
     fixed whenever the strategy infers on the whole labeled sample and the
@@ -166,20 +158,19 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
     """
     if config.gamma == 0.0 or base is None:
         return RunPlan()
-    rows = sorted_base = None
-    if _merges_levels(loss, config):
-        rows, sorted_base = SortedRows.of(labeled), SortedBase.of(base)
-    presorted = rows is not None and loss.sorts_outcomes and not config.strategy.random_inference
+    rows, target = config.rectifier.prepare(labeled, base, loss)
+    merges = isinstance(target, SortedBase)
+    presorted = merges and loss.sorts_outcomes and not config.strategy.random_inference
     rect = covariates = outcomes = None
     if _rectifies_once(config):
-        rect = apply_rectifier(fit_rectifier(config.rectifier, labeled, base), sorted_base or base)
+        rect = apply_rectifier(fit_rectifier(config.rectifier, labeled, base), target)
     # a draw rectifying into the levels of its own fit has as many atoms as levels
-    if not config.strategy.random_inference and (rect is not None or rows is None):
+    if not config.strategy.random_inference and (rect is not None or not merges):
         covariates = _stack(labeled, base if rect is None else rect, loss)
         if rect is not None and not _realizes_labels(rect, loss):
             outcomes = Outcomes.concat(rows.sorted_true if presorted else labeled.outcomes,
                                        rect.outcomes)
-    return RunPlan(rect, covariates, outcomes, rows, sorted_base, presorted)
+    return RunPlan(rect, covariates, outcomes, rows, target, presorted)
 
 
 def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
@@ -188,8 +179,8 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     """One posterior bootstrap draw with stream id = draw_index.
 
     Steps: build the calibration/inference split, fit the rectifier and
-    rectify the base measure (into a step rectifier's levels when
-    `_merges_levels`), realize class labels when the base carries
+    rectify the base measure (into a step rectifier's levels when the plan
+    targets a `SortedBase`), realize class labels when the base carries
     probability atoms, sample the conjugate Dirichlet weights (alpha =
     gamma * n, spread over the atoms by their weights), and solve the
     combined weighted problem.  Steps whose result `plan` (from `plan_run`)
@@ -211,7 +202,7 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
                                                    plan.rows)
         if rect is None:
             fitted = fit_rectifier(config.rectifier, calib, base)
-            rect = apply_rectifier(fitted, plan.sorted_base or base)
+            rect = apply_rectifier(fitted, plan.target)
     if outs is None:
         if _realizes_labels(rect, loss):
             rect = realize_class_labels(rect, rng.child(1))

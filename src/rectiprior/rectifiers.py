@@ -44,6 +44,13 @@ class RectifierSpec:
         """Fitted state from the flat arrays of its serialized form."""
         return arrays
 
+    def prepare(self, labeled: LabeledSample, base: AtomicMeasure, loss: LossSpec):
+        """What a posterior run builds once for every draw's fit and apply:
+        the labeled rows prepared for `fit_counts`, whose `take` gives a
+        `Resample` of them (None where the rectifier fits on the sample
+        itself), and the base in the form `apply` takes."""
+        return None, base
+
 
 class _RealMap(RectifierSpec):
     """Rectifiers that send each real base outcome y to `_map(state, y)`."""
@@ -65,6 +72,20 @@ class StepMap(_RealMap):
     def _map(self, state, y):
         cuts, values, side = self._steps(state)
         return values[np.searchsorted(cuts, y, side=side)]
+
+    def prepare(self, labeled, base, loss):
+        """The labeled rows and the base sorted by outcome, when the loss
+        reads no covariates, so that a draw rectifies the base straight into
+        its levels, with the atoms of each level merged into one.
+
+        Such a loss sees the rectified base only through the mass it puts on
+        each outcome, and by the aggregation property of the Dirichlet
+        distribution the summed weights of merged atoms follow the law of
+        the unmerged ones, so the posterior law is unchanged.
+        """
+        if loss.reads_covariates:
+            return None, base
+        return SortedRows.of(labeled), SortedBase.of(base)
 
     def levels(self, state, sorted_y):
         """The distinct values `_map` takes on the ascending outcomes
@@ -180,12 +201,25 @@ class ProbRecalib(RectifierSpec):
     def fit(self, calib, base):
         return fit_prob_recalib(calib, self)
 
+    def fit_counts(self, calib):
+        """The fit on the rows drawn, each weighted by its count."""
+        rows, counts = calib.rows, calib.counts
+        drawn = np.flatnonzero(counts)
+        return self._fit(rows.feats[drawn], rows.labels[drawn], counts[drawn], rows.num_classes)
+
+    def _fit(self, feats, labels, weights, num_classes):
+        theta = _solve_logistic(feats, labels, weights, num_classes, max(self.ridge, 1e-8))
+        coef = theta.reshape(num_classes, -1)
+        return FittedRectifier(self, {"W": coef[:, 1:], "b": coef[:, 0]})
+
+    def prepare(self, labeled, base, loss):
+        return RecalibRows.of(labeled, self.clamp), RecalibBase.of(base, self.clamp)
+
     def apply(self, state, base):
-        if base.outcomes.kind != PROBS:
-            raise OutcomeTypeError("probability recalibration requires probability outcomes")
-        feats = np.column_stack([clamp_log_probs(base.outcomes.values, self.clamp), base.covariates])
-        z = state["W"] @ feats.T + state["b"][:, None]
-        return base.with_outcomes(Outcomes.probs(_log_sum_exp(z)[1].T))
+        if isinstance(base, AtomicMeasure):
+            base = RecalibBase.of(base, self.clamp)
+        z = state["W"] @ base.feats.T + state["b"][:, None]
+        return base.base.with_outcomes(Outcomes.probs(_log_sum_exp(z)[1].T))
 
     def load_state(self, arrays):
         b = arrays["b"]
@@ -197,7 +231,7 @@ class CalibrationStrategy:
 
     `random_calibration` and `random_inference` say which part of the pair
     changes from draw to draw; a posterior run builds the other part once.
-    Given the labeled sample's `SortedRows` as `rows`, a strategy that
+    Given the labeled rows a rectifier prepared as `rows`, a strategy that
     draws its calibration sample takes it from them, as a `Resample`.
     """
 
@@ -252,11 +286,19 @@ class FittedRectifier:
     state: dict
 
 
+class _Rows:
+    """Labeled rows prepared once per posterior run; `take` gives the
+    `Resample` holding each row as often as `idx` names it."""
+
+    def take(self, idx) -> "Resample":
+        return Resample(self, np.bincount(idx, minlength=self.n))
+
+
 @dataclass(frozen=True)
-class SortedRows:
+class SortedRows(_Rows):
     """The labeled rows sorted by true and by imputed outcome, found once per
-    posterior run.  `take` gives a `Resample` of the rows, on which a step
-    rectifier is fit without sorting again.
+    posterior run.  A step rectifier is fit on a `Resample` of them without
+    sorting again.
 
     `true_order` and `imputed_order` are the stable orders that sort the
     rows, and `sorted_true` and `sorted_imputed` the outcomes in them.  For
@@ -284,16 +326,57 @@ class SortedRows:
     def n(self) -> int:
         return self.true_order.size
 
-    def take(self, idx) -> "Resample":
-        return Resample(self, np.bincount(idx, minlength=self.n))
+
+@dataclass(frozen=True)
+class RecalibRows(_Rows):
+    """The labeled rows as probability-recalibration features, built once per
+    posterior run: for each row an intercept, its clamped log imputed
+    probabilities and its covariates (`feats`), and its class (`labels`)."""
+
+    feats: np.ndarray
+    labels: np.ndarray
+    num_classes: int
+
+    @classmethod
+    def of(cls, labeled: LabeledSample, clamp: float) -> "RecalibRows":
+        if labeled.outcomes.kind != CLASS:
+            raise OutcomeTypeError("probability recalibration requires class outcomes")
+        if labeled.imputed is None or labeled.imputed.kind != PROBS:
+            raise OutcomeTypeError("calibration sample must carry imputed class probabilities")
+        c = labeled.outcomes.num_classes
+        if labeled.imputed.num_classes != c:
+            raise OutcomeTypeError("imputed probabilities disagree with label classes")
+        feats = np.column_stack([np.ones(labeled.n), clamp_log_probs(labeled.imputed.values, clamp),
+                                 labeled.covariates])
+        return cls(feats, labeled.outcomes.values, c)
+
+    @property
+    def n(self) -> int:
+        return self.labels.size
 
 
 @dataclass(frozen=True)
 class Resample:
     """The multiset of `rows` holding row i counts[i] times."""
 
-    rows: SortedRows
+    rows: _Rows
     counts: np.ndarray
+
+
+@dataclass(frozen=True)
+class RecalibBase:
+    """A probability base measure and its recalibration features (clamped log
+    probabilities, then covariates), built once per posterior run."""
+
+    base: AtomicMeasure
+    feats: np.ndarray
+
+    @classmethod
+    def of(cls, base: AtomicMeasure, clamp: float) -> "RecalibBase":
+        if base.outcomes.kind != PROBS:
+            raise OutcomeTypeError("probability recalibration requires probability outcomes")
+        return cls(base, np.column_stack([clamp_log_probs(base.outcomes.values, clamp),
+                                          base.covariates]))
 
 
 @dataclass(frozen=True)
@@ -324,15 +407,15 @@ class SortedBase:
 
 
 def make_calibration_sample(labeled: LabeledSample, strategy: CalibrationStrategy,
-                            rng: RngStream, rows: SortedRows | None = None
+                            rng: RngStream, rows: _Rows | None = None
                             ) -> tuple[LabeledSample | Resample, LabeledSample]:
     """Build (calibration, inference) samples under the configured strategy.
 
     Fixed reuses the full labeled sample for both roles; Split partitions it
     at random; Npb calibrates on a nonparametric bootstrap resample while
-    keeping the full sample for inference.  Given `rows`, the labeled
-    sample's `SortedRows`, Split and Npb draw the same rows from the same
-    stream and give the calibration sample as a `Resample` of them.
+    keeping the full sample for inference.  Given `rows`, the labeled rows as
+    a rectifier's `prepare` gives them, Split and Npb draw the same rows from
+    the same stream and give the calibration sample as a `Resample` of them.
     """
     return strategy.split(labeled, rng, rows)
 
@@ -452,23 +535,14 @@ def fit_prob_recalib(calib: LabeledSample, spec: ProbRecalib) -> FittedRectifier
     class probabilities; (W, b) minimize ridge-regularized cross-entropy on
     the features (log clamped probabilities, covariates).
     """
-    if calib.outcomes.kind != CLASS:
-        raise OutcomeTypeError("probability recalibration requires class outcomes")
-    if calib.imputed is None or calib.imputed.kind != PROBS:
-        raise OutcomeTypeError("calibration sample must carry imputed class probabilities")
-    c = calib.outcomes.num_classes
-    if calib.imputed.num_classes != c:
-        raise OutcomeTypeError("imputed probabilities disagree with label classes")
-    feats = np.column_stack([clamp_log_probs(calib.imputed.values, spec.clamp), calib.covariates])
-    f = np.column_stack([np.ones(calib.n), feats])
-    ridge = max(spec.ridge, 1e-8)
-    theta = _solve_logistic(f, calib.outcomes.values, np.ones(calib.n), c, ridge)
-    coef = theta.reshape(c, -1)
-    return FittedRectifier(spec, {"W": coef[:, 1:], "b": coef[:, 0]})
+    rows = RecalibRows.of(calib, spec.clamp)
+    return spec._fit(rows.feats, rows.labels, np.ones(rows.n), rows.num_classes)
 
 
-def apply_rectifier(r: FittedRectifier, base: AtomicMeasure | SortedBase) -> AtomicMeasure:
+def apply_rectifier(r: FittedRectifier,
+                    base: AtomicMeasure | SortedBase | RecalibBase) -> AtomicMeasure:
     """Transform every atom's outcome; covariates and weights are unchanged.
+    The base may also be given as the rectifier's `prepare` gives it.
 
     A step rectifier applied to a `SortedBase` gives instead its atoms of
     equal rectified outcome merged: one atom per level, holding the summed
@@ -491,8 +565,8 @@ def _paired_real(calib: LabeledSample):
 
 def fit_rectifier(spec: RectifierSpec, calib: LabeledSample | Resample,
                   base: AtomicMeasure) -> FittedRectifier:
-    """Fit any rectifier family on a calibration sample, or a step rectifier
-    on a `Resample` of sorted labeled rows."""
+    """Fit any rectifier family on a calibration sample, or one that
+    prepares its rows on a `Resample` of them."""
     if isinstance(calib, Resample):
         return spec.fit_counts(calib)
     return spec.fit(calib, base)
