@@ -38,9 +38,10 @@ from .losses import (
     MultinomialLogisticLoss,
     QuantileLoss,
 )
+from .measures import empirical_measure
 from .posterior import PriorConfig, run_posterior, serialize_run, summarize_run
 from .rectifiers import (RECTIFIERS, STRATEGIES, apply_rectifier, fit_rectifier,
-                         serialize_rectifier)
+                         score_discrepancy, serialize_rectifier)
 
 
 class UsageError(Exception):
@@ -220,10 +221,15 @@ def _cmd_diagnose(args):
     theta_mixed = mixed_erm(labeled, rect, loss, args.gamma)
     est = sandwich(labeled, rect, loss, theta_mixed, args.gamma)
     bias = predict_centering_bias(labeled, rect, loss, theta_tilde, args.gamma)
+    reference = empirical_measure(labeled)
     lines = [f"rectifier: {args.rectifier}, fit once on the whole labeled sample",
              f"mixed ERM theta: {theta_mixed}",
              f"sandwich covariance diagonal: {est.cov.diagonal()}",
-             f"predicted centering bias: {bias}"]
+             f"predicted centering bias: {bias}",
+             "score discrepancy at theta-tilde, labeled minus raw base: "
+             f"{score_discrepancy(base, reference, loss, theta_tilde)}",
+             "score discrepancy at theta-tilde, labeled minus rectified base: "
+             f"{score_discrepancy(rect, reference, loss, theta_tilde)}"]
     report = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as fh:

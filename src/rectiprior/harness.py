@@ -423,6 +423,25 @@ def serialize_bench(records: list[BenchRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_bench(text: str) -> list[BenchRecord]:
+    """Read back a `serialize_bench` table; a malformed one raises `ParameterError`."""
+    lines = text.splitlines()
+    if lines[:2] != [_BENCH_TAG, "\t".join(_BENCH_COLUMNS)]:
+        raise ParameterError("unrecognized bench table format")
+    records = []
+    for line_no, line in enumerate(lines[2:], start=3):
+        cells = line.split("\t")
+        if len(cells) != len(_BENCH_COLUMNS) or not cells[1] or cells[6] not in ("0", "1"):
+            raise ParameterError(f"malformed bench row on line {line_no}")
+        try:
+            lower, upper, point, theta0, score, width = map(float, cells[2:6] + cells[7:])
+            records.append(BenchRecord(int(cells[0]), cells[1], lower, upper, point, theta0,
+                                       cells[6] == "1", score, width))
+        except ValueError:
+            raise ParameterError(f"malformed bench row on line {line_no}") from None
+    return records
+
+
 def format_bench_summary(records: list[BenchRecord]) -> str:
     summaries = aggregate_bench(records)
     lines = ["method             bias (se)            score (se)           width (se)           coverage (se)"]

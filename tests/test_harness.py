@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from rectiprior.cli import cli
 from rectiprior.exceptions import IngestionError, OutcomeTypeError, ParameterError
 from rectiprior.harness import (
+    BENCH_METHODS,
     RunConfig,
     ScenarioSpec,
     format_bench_summary,
     generate_scenario,
     load_base_csv,
     load_labeled_csv,
+    parse_bench,
     run_bench,
     scenario_theta0,
     serialize_bench,
@@ -25,7 +27,7 @@ from rectiprior.harness import (
 from rectiprior.losses import LinearRegressionLoss, MeanLoss, QuantileLoss
 from rectiprior.measures import AtomicMeasure, LabeledSample, Outcomes
 from rectiprior.rectifiers import MomentShift, Npb, QuantileMap
-from rectiprior.diagnostics import aggregate_bench
+from rectiprior.diagnostics import BenchRecord, aggregate_bench
 
 
 class TestScenarios:
@@ -332,6 +334,40 @@ class TestRunBench:
         cells = lines[2].split("\t")
         assert repr(float(cells[2])) == cells[2]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(
+        BenchRecord, replication=st.integers(0, 10**6), method=st.sampled_from(BENCH_METHODS),
+        lower=st.floats(), upper=st.floats(), point=st.floats(), theta0=st.floats(),
+        covered=st.booleans(), score=st.floats(), width=st.floats()), max_size=8))
+    def test_parse_bench_round_trips(self, records):
+        # every float, including -0.0, subnormals, infinities and NaN,
+        # reads back as the value written
+        text = serialize_bench(records)
+        parsed = parse_bench(text)
+        assert serialize_bench(parsed) == text
+        assert len(parsed) == len(records)
+        for got, want in zip(parsed, records):
+            for key, value in want.__dict__.items():
+                assert repr(getattr(got, key)) == repr(value), key
+
+    @pytest.mark.parametrize("old,new", [
+        ("rectiprior-bench-v1", "rectiprior-bench-v2"),
+        ("\tcovered\t", "\tcovers\t"),
+        ("\t1\t", "\t2\t"),
+        ("0\tclassical", "zero\tclassical"),
+        ("\traw-ai\t", "\t\t"),
+        ("\n0\t", "\n0\tx\t"),
+    ])
+    def test_parse_bench_rejects_malformed_tables(self, old, new):
+        records = [BenchRecord(0, "classical", -1.0, 1.0, 0.0, 0.5, True, 2.0, 2.0),
+                   BenchRecord(0, "raw-ai", 0.5, 1.5, 1.0, 0.0, False, 11.0, 1.0)]
+        text = serialize_bench(records)
+        assert old in text and parse_bench(text) == records
+        with pytest.raises(ParameterError):
+            parse_bench(text.replace(old, new, 1))
+        with pytest.raises(ParameterError):
+            parse_bench(text.replace("0.5", "half", 1))
+
     def test_summary_has_all_methods(self):
         text = format_bench_summary(run_bench(self.small_config(replications=2)))
         for m in ("classical", "bayes-bootstrap", "raw-ai", "rectified-ai"):
@@ -399,6 +435,20 @@ class TestCli:
         rectified_report, rectified = report("quantile-map")
         assert rectified_report != raw_report
         assert abs(rectified) < abs(raw)
+
+    def test_diagnose_reports_the_score_discrepancy(self, capsys):
+        # labeled minus base mean scores at theta-tilde: 0.669 for the raw
+        # base, and a fraction of that once rectified
+        def discrepancies(rectifier):
+            assert cli(["diagnose", "--scenario", "monotone-distortion", "--n", "300",
+                        "--n-unlabeled", "2000", "--gamma", "1", "--rectifier", rectifier]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [float(l.split("[")[1].rstrip("]")) for l in lines
+                    if l.startswith("score discrepancy")]
+
+        assert discrepancies("identity") == pytest.approx([0.66875, 0.66875], abs=1e-5)
+        assert discrepancies("quantile-map") == pytest.approx([0.66875, 0.011373], abs=1e-5)
+        assert discrepancies("isotonic") == pytest.approx([0.66875, 0.021120], abs=1e-5)
 
     def test_usage_error_is_1(self, capsys):
         assert cli(["infer"]) == 1
