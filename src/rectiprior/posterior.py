@@ -14,6 +14,7 @@ from io import StringIO
 
 import numpy as np
 
+from .diagnostics import labeled_erm
 from .exceptions import ConvergenceError, ParameterError, RankDeficiencyError, RectipriorError
 from .losses import LossSpec, WeightedProblem, is_classification, predict_probs, solve_weighted
 from .measures import (
@@ -109,7 +110,8 @@ class RunPlan:
     When the target is a `SortedBase`, a draw rectifies it into the levels
     of a step rectifier, and when `presorted`, a draw infers on all labeled
     rows and presents them in `rows.true_order` to a loss that
-    `sorts_outcomes`.
+    `sorts_outcomes`.  `start` is the point a loss that `warm_starts` may
+    start every draw's solve from.
     """
 
     rect: AtomicMeasure | None = None
@@ -118,6 +120,7 @@ class RunPlan:
     rows: SortedRows | RecalibRows | None = None
     target: AtomicMeasure | SortedBase | RecalibBase | None = None
     presorted: bool = False
+    start: np.ndarray | None = None
 
 
 def _realizes_labels(rect: AtomicMeasure, loss: LossSpec) -> bool:
@@ -155,6 +158,12 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
     them and the loss sorts them anyway: the levels follow them already
     ascending, so the loss's stable sort meets two sorted runs, and ties
     stay labeled rows first, then by row index, as in row order.
+
+    A loss that `warm_starts` gets the labeled sample's own ERM, with equal
+    weights, as every draw's start: a draw reweights the same rows and adds
+    base atoms of weight about gamma / (1 + gamma), so its minimiser lies
+    close by, and the solver falls back to zero when that has the lower
+    objective.
     """
     if config.gamma == 0.0 or base is None:
         return RunPlan()
@@ -170,7 +179,16 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
         if rect is not None and not _realizes_labels(rect, loss):
             outcomes = Outcomes.concat(rows.sorted_true if presorted else labeled.outcomes,
                                        rect.outcomes)
-    return RunPlan(rect, covariates, outcomes, rows, target, presorted)
+    return RunPlan(rect, covariates, outcomes, rows, target, presorted,
+                   _labeled_start(labeled, loss) if loss.warm_starts else None)
+
+
+def _labeled_start(labeled: LabeledSample, loss: LossSpec) -> np.ndarray | None:
+    """The labeled-only ERM, or None when it fails to solve."""
+    try:
+        return labeled_erm(labeled, loss)
+    except (RankDeficiencyError, ConvergenceError):
+        return None
 
 
 def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
@@ -218,7 +236,7 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     if plan.presorted:
         weights[:n] = weights[plan.rows.true_order]
     problem = WeightedProblem(covs, outs, weights, loss)
-    return solve_weighted(problem)
+    return solve_weighted(problem, plan.start)
 
 
 def run_posterior(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .exceptions import OutcomeTypeError, ParameterError
+from .exceptions import ConvergenceError, OutcomeTypeError, ParameterError, RankDeficiencyError
 from .losses import LossSpec, _log_sum_exp, _solve_logistic, mean_score
 from .measures import (
     CLASS,
@@ -202,18 +203,18 @@ class ProbRecalib(RectifierSpec):
         return fit_prob_recalib(calib, self)
 
     def fit_counts(self, calib):
-        """The fit on the rows drawn, each weighted by its count."""
+        """The fit on the rows drawn, each weighted by its count, started
+        from the fit on all rows."""
         rows, counts = calib.rows, calib.counts
         drawn = np.flatnonzero(counts)
-        return self._fit(rows.feats[drawn], rows.labels[drawn], counts[drawn], rows.num_classes)
+        return self._fitted(rows.solve(drawn, counts[drawn], rows.start), rows.num_classes)
 
-    def _fit(self, feats, labels, weights, num_classes):
-        theta = _solve_logistic(feats, labels, weights, num_classes, max(self.ridge, 1e-8))
+    def _fitted(self, theta, num_classes):
         coef = theta.reshape(num_classes, -1)
         return FittedRectifier(self, {"W": coef[:, 1:], "b": coef[:, 0]})
 
     def prepare(self, labeled, base, loss):
-        return RecalibRows.of(labeled, self.clamp), RecalibBase.of(base, self.clamp)
+        return RecalibRows.of(labeled, self), RecalibBase.of(base, self.clamp)
 
     def apply(self, state, base):
         if isinstance(base, AtomicMeasure):
@@ -331,14 +332,16 @@ class SortedRows(_Rows):
 class RecalibRows(_Rows):
     """The labeled rows as probability-recalibration features, built once per
     posterior run: for each row an intercept, its clamped log imputed
-    probabilities and its covariates (`feats`), and its class (`labels`)."""
+    probabilities and its covariates (`feats`), and its class (`labels`),
+    with the ridge that the fits on them use."""
 
     feats: np.ndarray
     labels: np.ndarray
     num_classes: int
+    ridge: float
 
     @classmethod
-    def of(cls, labeled: LabeledSample, clamp: float) -> "RecalibRows":
+    def of(cls, labeled: LabeledSample, spec: ProbRecalib) -> "RecalibRows":
         if labeled.outcomes.kind != CLASS:
             raise OutcomeTypeError("probability recalibration requires class outcomes")
         if labeled.imputed is None or labeled.imputed.kind != PROBS:
@@ -346,13 +349,30 @@ class RecalibRows(_Rows):
         c = labeled.outcomes.num_classes
         if labeled.imputed.num_classes != c:
             raise OutcomeTypeError("imputed probabilities disagree with label classes")
-        feats = np.column_stack([np.ones(labeled.n), clamp_log_probs(labeled.imputed.values, clamp),
+        feats = np.column_stack([np.ones(labeled.n),
+                                 clamp_log_probs(labeled.imputed.values, spec.clamp),
                                  labeled.covariates])
-        return cls(feats, labeled.outcomes.values, c)
+        return cls(feats, labeled.outcomes.values, c, max(spec.ridge, 1e-8))
 
     @property
     def n(self) -> int:
         return self.labels.size
+
+    def solve(self, drawn, weights, start=None):
+        """The flat recalibration parameters fit on the rows `drawn`, with
+        their `weights`."""
+        return _solve_logistic(self.feats[drawn], self.labels[drawn], weights, self.num_classes,
+                               self.ridge, start)
+
+    @cached_property
+    def start(self):
+        """The parameters fit on every row once, found at the first fit that
+        asks: a resample reweights the rows, so its fit lies close by.  None
+        when that fit fails."""
+        try:
+            return self.solve(slice(None), np.ones(self.n))
+        except (ConvergenceError, RankDeficiencyError):
+            return None
 
 
 @dataclass(frozen=True)
@@ -535,8 +555,8 @@ def fit_prob_recalib(calib: LabeledSample, spec: ProbRecalib) -> FittedRectifier
     class probabilities; (W, b) minimize ridge-regularized cross-entropy on
     the features (log clamped probabilities, covariates).
     """
-    rows = RecalibRows.of(calib, spec.clamp)
-    return spec._fit(rows.feats, rows.labels, np.ones(rows.n), rows.num_classes)
+    rows = RecalibRows.of(calib, spec)
+    return spec._fitted(rows.solve(slice(None), np.ones(rows.n)), rows.num_classes)
 
 
 def apply_rectifier(r: FittedRectifier,

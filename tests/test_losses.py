@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import softmax
 
-from rectiprior.exceptions import CapabilityError, OutcomeTypeError, RankDeficiencyError
+from rectiprior.exceptions import (
+    CapabilityError,
+    ConvergenceError,
+    OutcomeTypeError,
+    RankDeficiencyError,
+)
 from rectiprior.losses import (
     LinearRegressionLoss,
     MeanLoss,
@@ -13,11 +18,13 @@ from rectiprior.losses import (
     MultinomialLogisticLoss,
     QuantileLoss,
     WeightedProblem,
+    _solve_logistic,
     finite_diff_check,
     hessian,
     loss_value,
     loss_values,
     mean_hessian,
+    mean_score,
     score,
     scores,
     solve_weighted,
@@ -296,6 +303,62 @@ class TestSolvers:
         with pytest.raises(OutcomeTypeError):
             solve_weighted(WeightedProblem(np.zeros((2, 1)), Outcomes.classes([0, 1], 2),
                                            np.ones(2), MeanLoss()))
+
+
+    def test_mlp_non_convergence_raises(self):
+        # step 1e3 on covariates of order 1e3 diverges, ending at a gradient
+        # norm near 4.5e5; that draw must fail, not pass with Adam's last step
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(120, 2))
+        y = Outcomes.classes((x @ _CLASS_DIRECTIONS.T).argmax(axis=1), 3)
+        solve_weighted(WeightedProblem(x, y, np.ones(120), MlpLoss(hidden=20, num_classes=3)))
+        with pytest.raises(ConvergenceError) as info:
+            solve_weighted(WeightedProblem(1e3 * x, y, np.ones(120),
+                                           MlpLoss(hidden=20, num_classes=3, step=1e3)))
+        assert info.value.grad_norm > 1e5
+
+
+_CLASS_DIRECTIONS = np.array([[1.0, 0.0], [-0.5, 0.9], [-0.5, -0.9]])
+
+
+class TestWarmStart:
+    """A posterior draw's logistic solve may start from the labeled sample's
+    own solution; it begins at whichever of that and zero is lower."""
+
+    @staticmethod
+    def _problem(seed, n):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 2))
+        p = softmax(x @ _CLASS_DIRECTIONS.T, axis=1)
+        labels = (p.cumsum(axis=1) < rng.random((n, 1))).sum(axis=1)
+        return np.column_stack([np.ones(n), x]), labels, rng
+
+    @staticmethod
+    def _gradient(theta, f, labels, w, ridge):
+        loss = MultinomialLogisticLoss(3)
+        return mean_score(loss, theta, f[:, 1:], Outcomes.classes(labels, 3), w) + ridge * theta
+
+    def test_warm_and_cold_meet_the_tolerance_and_agree(self):
+        # Dirichlet reweightings of 400 rows, as a draw makes: both solves end
+        # within the gradient tolerance, and their solutions agree within 1e-6
+        f, labels, rng = self._problem(1, 400)
+        ridge = 1e-8
+        start = _solve_logistic(f, labels, np.ones(400), 3, ridge)
+        for _ in range(20):
+            w = rng.dirichlet(np.ones(400))
+            cold = _solve_logistic(f, labels, w, 3, ridge)
+            warm = _solve_logistic(f, labels, w, 3, ridge, start)
+            for theta in (cold, warm):
+                assert np.linalg.norm(self._gradient(theta, f, labels, w, ridge)) <= 1e-8 + 1e-12
+            assert np.max(np.abs(warm - cold)) <= 1e-6
+
+    def test_start_above_zero_objective_is_not_used(self):
+        # a start whose objective exceeds zero's leaves the solve as it was
+        f, labels, rng = self._problem(2, 200)
+        w = rng.dirichlet(np.ones(200))
+        far = 50.0 * np.tile([1.0, -1.0, 1.0], 3)
+        cold = _solve_logistic(f, labels, w, 3, 1e-8)
+        assert np.array_equal(_solve_logistic(f, labels, w, 3, 1e-8, far), cold)
 
 
 class TestThetaDim:

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import softmax
 
 from rectiprior.cli import _make_parser
 from rectiprior.harness import ScenarioSpec, generate_scenario
-from rectiprior.exceptions import OutcomeTypeError, ParameterError, RectipriorError
+from rectiprior import posterior
+from rectiprior.diagnostics import labeled_erm
+from rectiprior.exceptions import (ConvergenceError, OutcomeTypeError, ParameterError,
+                                   RankDeficiencyError, RectipriorError)
 from rectiprior.losses import (LinearRegressionLoss, MeanLoss, QuantileLoss, MultinomialLogisticLoss,
                                WeightedProblem, solve_weighted)
 from rectiprior.measures import (
@@ -41,6 +45,7 @@ from rectiprior.rectifiers import (
     Npb,
     ProbRecalib,
     QuantileMap,
+    RecalibRows,
     Split,
     apply_rectifier,
     fit_rectifier,
@@ -353,6 +358,8 @@ class TestRunPlan:
         *[("monotone-distortion", MeanLoss(), rectifier, strategy)
           for strategy in (Fixed(), Npb(), Split(0.5)) for rectifier in (Identity(), QuantileMap())],
         ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Fixed()),
+        ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Npb()),
+        ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Split(0.5)),
         ("monotone-distortion", QuantileLoss(0.9), Isotonic(), Fixed()),
         ("monotone-distortion", QuantileLoss(0.5), QuantileMap(), Npb()),
         ("monotone-distortion", QuantileLoss(0.9), Isotonic(), Npb()),
@@ -445,6 +452,41 @@ class TestRunPlan:
         assert not merges(LinearRegressionLoss(), QuantileMap(), Npb())
         assert not merges(MeanLoss(), MomentShift(), Npb())
         assert merges(MeanLoss(), QuantileMap(), Fixed())
+
+    @pytest.mark.parametrize("rectifier", [Identity(), ProbRecalib()])
+    def test_separable_sample_start_fails_no_draw_that_zero_passes(self, rectifier, monkeypatch):
+        # 30 labeled rows that a linear rule separates, with the default
+        # ridge of 1e-8: the labeled-only ERM lies far out (norm near 100),
+        # where a draw that adds base atoms of other labels has a higher
+        # objective than at zero, so the draw must start from zero
+        rng = np.random.default_rng(0)
+        directions = np.array([[1.0, 0.0], [-0.5, 0.9], [-0.5, -0.9]])
+        x, xb = rng.normal(size=(30, 2)), rng.normal(size=(200, 2))
+        labeled = LabeledSample(x, Outcomes.classes((x @ directions.T).argmax(axis=1), 3),
+                                Outcomes.probs(softmax(x @ directions.T, axis=1)))
+        base = AtomicMeasure(xb, Outcomes.probs(softmax(xb @ directions.T, axis=1)))
+        loss = MultinomialLogisticLoss(3)
+        assert np.linalg.norm(labeled_erm(labeled, loss)) > 90
+        config = PriorConfig(gamma=1.0, draws=60, rectifier=rectifier, strategy=Npb(), seed=2)
+
+        def passes():
+            plan = plan_run(labeled, base, loss, config)
+            ok = []
+            for b in range(config.draws):
+                try:
+                    ok.append(posterior_draw(labeled, base, loss, config, b, plan) is not None)
+                except (ConvergenceError, RankDeficiencyError):
+                    ok.append(False)
+            return np.array(ok), plan
+
+        warm, plan = passes()
+        assert plan.start is not None
+        with monkeypatch.context() as m:
+            m.setattr(RecalibRows, "start", None)
+            m.setattr(posterior, "_labeled_start", lambda labeled, loss: None)
+            cold, plan = passes()
+        assert plan.start is None
+        assert not np.any(cold & ~warm)
 
     def test_merges_atoms_only_for_covariate_free_losses(self):
         labeled, base, _ = generate_scenario(ScenarioSpec("monotone-distortion", n=60,

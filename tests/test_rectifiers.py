@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import softmax
 
 from rectiprior.exceptions import OutcomeTypeError, ParameterError
-from rectiprior.losses import MeanLoss, loss_values, MultinomialLogisticLoss
+from rectiprior.losses import MeanLoss, MultinomialLogisticLoss, loss_values, mean_score
 from rectiprior.measures import AtomicMeasure, LabeledSample, Outcomes, RngStream
 from rectiprior.rectifiers import (
     Fixed,
@@ -17,6 +17,7 @@ from rectiprior.rectifiers import (
     Npb,
     ProbRecalib,
     QuantileMap,
+    RecalibRows,
     Resample,
     SortedBase,
     SortedRows,
@@ -398,6 +399,60 @@ class TestProbRecalib:
         ce_fit = -np.log(fitted[np.arange(m), labels2]).mean()
         ce_gen = -np.log(probs2[np.arange(m), labels2]).mean()
         assert abs(ce_fit - ce_gen) < 0.02
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), n=st.integers(8, 120), split=st.booleans())
+    def test_fit_on_counts_solves_the_resample_problem(self, seed, n, split):
+        # a Resample of the prepared rows weights each row drawn by its count,
+        # which is the objective of the resample's repeated rows: the fit on
+        # the counts (started from the fit on all rows) must meet the solver's
+        # gradient tolerance on the repeated rows, and the fit on those rows
+        # on the counts, so the two lie within 2 tol / ridge by the ridge's
+        # strong convexity.  Where both take the same Newton steps they agree
+        # to about 1e-12; a step more or less at the tolerance moves them
+        # by up to about 1e-6.
+        rng = np.random.default_rng(seed)
+        c = 3
+        p = rng.dirichlet(np.ones(c), size=n)
+        labeled = LabeledSample(rng.normal(size=(n, 2)), Outcomes.classes(rng.integers(0, c, n), c),
+                                Outcomes.probs(p))
+        spec, tol = ProbRecalib(), 1e-8 + 1e-12
+        rows = RecalibRows.of(labeled, spec)
+        strategy = Split(0.5) if split else Npb()
+        counted, _ = make_calibration_sample(labeled, strategy, RngStream(seed), rows)
+        assert isinstance(counted, Resample) and counted.rows is rows
+        idx = np.repeat(np.arange(n), counted.counts)
+        from_counts = fit_rectifier(spec, counted, None)
+        from_rows = fit_rectifier(spec, labeled.take(idx), None)
+
+        def gradient(fitted, feats, labels, weights):
+            theta = np.column_stack([fitted.state["b"], fitted.state["W"]]).ravel()
+            y = Outcomes.classes(labels, c)
+            return mean_score(MultinomialLogisticLoss(c), theta, feats[:, 1:], y, weights) \
+                + spec.ridge * theta, theta
+
+        drawn = counted.counts > 0
+        g, theta_counts = gradient(from_counts, rows.feats[idx], rows.labels[idx], np.ones(idx.size))
+        assert np.linalg.norm(g) <= tol
+        g, theta_rows = gradient(from_rows, rows.feats[drawn], rows.labels[drawn],
+                                 counted.counts[drawn])
+        assert np.linalg.norm(g) <= tol
+        assert np.linalg.norm(theta_counts - theta_rows) <= 2 * tol / spec.ridge
+
+    def test_apply_on_prepared_base_is_the_apply(self):
+        # the base's features built once give the atom-by-atom apply's bytes
+        rng = np.random.default_rng(5)
+        labeled = LabeledSample(rng.normal(size=(60, 2)), Outcomes.classes(rng.integers(0, 3, 60), 3),
+                                Outcomes.probs(rng.dirichlet(np.ones(3), size=60)))
+        base = AtomicMeasure(rng.normal(size=(40, 2)), Outcomes.probs(rng.dirichlet(np.ones(3), size=40)))
+        spec = ProbRecalib()
+        fitted = fit_rectifier(spec, labeled, base)
+        rows, target = spec.prepare(labeled, base, MultinomialLogisticLoss(3))
+        assert rows.n == labeled.n
+        want = apply_rectifier(fitted, base)
+        got = apply_rectifier(fitted, target)
+        assert got.outcomes.values.tobytes() == want.outcomes.values.tobytes()
+        assert got.weights is base.weights and got.covariates is base.covariates
 
     def test_outputs_on_simplex(self):
         rng = np.random.default_rng(3)
