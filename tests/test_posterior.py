@@ -358,14 +358,14 @@ class TestRunPlan:
         *[("monotone-distortion", MeanLoss(), rectifier, strategy)
           for strategy in (Fixed(), Npb(), Split(0.5)) for rectifier in (Identity(), QuantileMap())],
         ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Fixed()),
-        ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Npb()),
-        ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Split(0.5)),
         ("monotone-distortion", QuantileLoss(0.9), Isotonic(), Fixed()),
         ("monotone-distortion", QuantileLoss(0.5), QuantileMap(), Npb()),
         ("monotone-distortion", QuantileLoss(0.9), Isotonic(), Npb()),
         ("monotone-distortion", MeanLoss(), Isotonic(), Split(0.5)),
         ("monotone-distortion", QuantileLoss(0.1), QuantileMap(), Npb()),
         ("monotone-distortion", QuantileLoss(0.1), Isotonic(), Split(0.5)),
+        ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Npb()),
+        ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Split(0.5)),
     ])
     def test_run_matches_from_scratch_draws(self, scenario, loss, rectifier, strategy):
         # a draw called without a plan builds the run's plan itself, so it
