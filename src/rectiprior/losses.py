@@ -473,10 +473,8 @@ def _solve_logistic(f, labels, w, num_classes, ridge, start=None):
     n, df = f.shape
     d = num_classes * df
     f = np.ascontiguousarray(f.T)
-    theta = np.zeros(d)
     label_logit = labels * n + np.arange(n)
-    onehot = np.zeros((num_classes, n))
-    onehot.flat[label_logit] = 1.0
+    onehot = (labels == np.arange(num_classes)[:, None]).astype(float)
 
     def objective(t):
         """Objective at t and the class probabilities there."""
@@ -484,11 +482,13 @@ def _solve_logistic(f, labels, w, num_classes, ridge, start=None):
         lse, p = _log_sum_exp(z)
         return float(w @ (lse - z.take(label_logit)) + 0.5 * ridge * t @ t), p
 
-    obj, p = objective(theta)
-    if start is not None:
-        start_obj, start_p = objective(start)
-        if start_obj < obj:
-            theta, obj, p = np.array(start, dtype=float), start_obj, start_p
+    # at zero every class has probability 1 / num_classes, so the objective
+    # there is log(num_classes) and need not be evaluated to compare
+    if start is not None and (at_start := objective(start))[0] < np.log(num_classes):
+        theta, (obj, p) = np.array(start, dtype=float), at_start
+    else:
+        theta = np.zeros(d)
+        obj, p = objective(theta)
     for it in range(_NEWTON_CAP + 1):
         grad = (((p - onehot) * w) @ f.T).ravel() + ridge * theta
         gnorm = float(np.linalg.norm(grad))
