@@ -331,9 +331,9 @@ class SortedRows(_Rows):
 @dataclass(frozen=True)
 class RecalibRows(_Rows):
     """The labeled rows as probability-recalibration features, built once per
-    posterior run: for each row an intercept, its clamped log imputed
-    probabilities and its covariates (`feats`), and its class (`labels`),
-    with the ridge that the fits on them use."""
+    posterior run: for each row a column of `feats` holding an intercept,
+    its clamped log imputed probabilities and its covariates, and its class
+    in `labels`, with the ridge that the fits on them use."""
 
     feats: np.ndarray
     labels: np.ndarray
@@ -349,9 +349,8 @@ class RecalibRows(_Rows):
         c = labeled.outcomes.num_classes
         if labeled.imputed.num_classes != c:
             raise OutcomeTypeError("imputed probabilities disagree with label classes")
-        feats = np.column_stack([np.ones(labeled.n),
-                                 clamp_log_probs(labeled.imputed.values, spec.clamp),
-                                 labeled.covariates])
+        log_probs = clamp_log_probs(labeled.imputed.values, spec.clamp)
+        feats = np.vstack([np.ones(labeled.n), log_probs.T, labeled.covariates.T])
         return cls(feats, labeled.outcomes.values, c, max(spec.ridge, 1e-8))
 
     @property
@@ -361,7 +360,7 @@ class RecalibRows(_Rows):
     def solve(self, drawn, weights, start=None):
         """The flat recalibration parameters fit on the rows `drawn`, with
         their `weights`."""
-        return _solve_logistic(self.feats[drawn], self.labels[drawn], weights, self.num_classes,
+        return _solve_logistic(self.feats[:, drawn], self.labels[drawn], weights, self.num_classes,
                                self.ridge, start)
 
     @cached_property

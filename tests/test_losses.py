@@ -331,12 +331,12 @@ class TestWarmStart:
         x = rng.normal(size=(n, 2))
         p = softmax(x @ _CLASS_DIRECTIONS.T, axis=1)
         labels = (p.cumsum(axis=1) < rng.random((n, 1))).sum(axis=1)
-        return np.column_stack([np.ones(n), x]), labels, rng
+        return np.vstack([np.ones(n), x.T]), labels, rng
 
     @staticmethod
     def _gradient(theta, f, labels, w, ridge):
         loss = MultinomialLogisticLoss(3)
-        return mean_score(loss, theta, f[:, 1:], Outcomes.classes(labels, 3), w) + ridge * theta
+        return mean_score(loss, theta, f[1:].T, Outcomes.classes(labels, 3), w) + ridge * theta
 
     def test_warm_and_cold_meet_the_tolerance_and_agree(self):
         # Dirichlet reweightings of 400 rows, as a draw makes: both solves end

@@ -414,7 +414,8 @@ class TestProbRecalib:
         rng = np.random.default_rng(seed)
         c = 3
         p = rng.dirichlet(np.ones(c), size=n)
-        labeled = LabeledSample(rng.normal(size=(n, 2)), Outcomes.classes(rng.integers(0, c, n), c),
+        labeled = LabeledSample(rng.normal(size=(n, 2)),
+                                Outcomes.classes(rng.integers(0, c, n), c),
                                 Outcomes.probs(p))
         spec, tol = ProbRecalib(), 1e-8 + 1e-12
         rows = RecalibRows.of(labeled, spec)
@@ -428,13 +429,14 @@ class TestProbRecalib:
         def gradient(fitted, feats, labels, weights):
             theta = np.column_stack([fitted.state["b"], fitted.state["W"]]).ravel()
             y = Outcomes.classes(labels, c)
-            return mean_score(MultinomialLogisticLoss(c), theta, feats[:, 1:], y, weights) \
+            return mean_score(MultinomialLogisticLoss(c), theta, feats[1:].T, y, weights) \
                 + spec.ridge * theta, theta
 
         drawn = counted.counts > 0
-        g, theta_counts = gradient(from_counts, rows.feats[idx], rows.labels[idx], np.ones(idx.size))
+        g, theta_counts = gradient(from_counts, rows.feats[:, idx], rows.labels[idx],
+                                   np.ones(idx.size))
         assert np.linalg.norm(g) <= tol
-        g, theta_rows = gradient(from_rows, rows.feats[drawn], rows.labels[drawn],
+        g, theta_rows = gradient(from_rows, rows.feats[:, drawn], rows.labels[drawn],
                                  counted.counts[drawn])
         assert np.linalg.norm(g) <= tol
         assert np.linalg.norm(theta_counts - theta_rows) <= 2 * tol / spec.ridge
@@ -442,9 +444,11 @@ class TestProbRecalib:
     def test_apply_on_prepared_base_is_the_apply(self):
         # the base's features built once give the atom-by-atom apply's bytes
         rng = np.random.default_rng(5)
-        labeled = LabeledSample(rng.normal(size=(60, 2)), Outcomes.classes(rng.integers(0, 3, 60), 3),
+        labeled = LabeledSample(rng.normal(size=(60, 2)),
+                                Outcomes.classes(rng.integers(0, 3, 60), 3),
                                 Outcomes.probs(rng.dirichlet(np.ones(3), size=60)))
-        base = AtomicMeasure(rng.normal(size=(40, 2)), Outcomes.probs(rng.dirichlet(np.ones(3), size=40)))
+        base = AtomicMeasure(rng.normal(size=(40, 2)),
+                             Outcomes.probs(rng.dirichlet(np.ones(3), size=40)))
         spec = ProbRecalib()
         fitted = fit_rectifier(spec, labeled, base)
         rows, target = spec.prepare(labeled, base, MultinomialLogisticLoss(3))
