@@ -39,8 +39,8 @@ def _with_intercept(X):
 
 
 def _features_by_atom(X):
-    """An intercept row over the covariates, one column per atom; built in
-    place, as `column_stack` and a transposed copy take six times as long."""
+    """An intercept row over the covariates, one column per atom, filled in
+    place rather than by `column_stack` and a transposed copy."""
     f = np.empty((X.shape[1] + 1, X.shape[0]))
     f[0] = 1.0
     f[1:] = X.T
@@ -471,8 +471,8 @@ def _solve_logistic(f, labels, w, num_classes, ridge, start=None):
     f holds the features with one column per atom (an intercept row
     included by the caller); weights are normalized to sum to one so the
     ridge has a fixed meaning.  Logits and probabilities are kept with one
-    column per atom too, and the probabilities of each accepted line-search point feed the next
-    gradient and Hessian.  The iteration starts at zero or, given `start`,
+    column per atom too, and the probabilities of each accepted line-search
+    point feed the next gradient and Hessian.  The iteration starts at zero or, given `start`,
     at whichever of zero and `start` has the lower objective, so that a
     start far from this problem's minimiser (a labeled-only fit of a
     separable sample) costs one objective evaluation and nothing more; the
