@@ -3,8 +3,10 @@
 A rectifier is a map on atomic measures that transforms outcomes atom by
 atom, leaving covariates and weights untouched.  Fitting uses a labeled
 calibration sample; application targets the AI base measure.  Each
-rectifier family is a frozen spec dataclass whose `fit` and `apply` methods
-are its one implementation, and each calibration strategy's `split` method
+rectifier family is a frozen spec dataclass whose `fit_counts` and `apply`
+methods are its one implementation: it fits on a `Resample` of the labeled
+rows its `rows` prepares once, and a calibration sample is the resample
+holding each of its rows once.  Each calibration strategy's `split` method
 builds its (calibration, inference) pair.  `RECTIFIERS` and `STRATEGIES`
 map every spec's text `tag` to its class.
 """
@@ -45,12 +47,16 @@ class RectifierSpec:
         """Fitted state from the flat arrays of its serialized form."""
         return arrays
 
+    def rows(self, labeled: LabeledSample, base: AtomicMeasure):
+        """The labeled rows prepared for `fit_counts`, whose `take` gives a
+        `Resample` of them; None for a rectifier whose fit ignores them."""
+        return None
+
     def prepare(self, labeled: LabeledSample, base: AtomicMeasure, loss: LossSpec):
         """What a posterior run builds once for every draw's fit and apply:
-        the labeled rows prepared for `fit_counts`, whose `take` gives a
-        `Resample` of them (None where the rectifier fits on the sample
-        itself), and the base in the form `apply` takes."""
-        return None, base
+        the labeled `rows`, and the base in the form `apply` takes, which
+        alone may depend on the loss."""
+        return self.rows(labeled, base), base
 
 
 class _RealMap(RectifierSpec):
@@ -67,26 +73,27 @@ class StepMap(_RealMap):
     `_steps(state)` gives the function as nondecreasing cut points, the value
     on each of the len(cuts) + 1 intervals they bound, and the `searchsorted`
     side that puts an outcome into its interval; `_map` and `levels` both
-    read it.  `fit_counts` fits on a `Resample` of sorted labeled rows.
+    read it.  `fit_counts` fits on a `Resample` of the `SortedRows`.
     """
 
     def _map(self, state, y):
         cuts, values, side = self._steps(state)
         return values[np.searchsorted(cuts, y, side=side)]
 
+    def rows(self, labeled, base):
+        return SortedRows.of(labeled)
+
     def prepare(self, labeled, base, loss):
-        """The labeled rows and the base sorted by outcome, when the loss
-        reads no covariates, so that a draw rectifies the base straight into
-        its levels, with the atoms of each level merged into one.
+        """The sorted labeled rows, and the base sorted by outcome when the
+        loss reads no covariates, so that a draw rectifies the base straight
+        into its levels, with the atoms of each level merged into one.
 
         Such a loss sees the rectified base only through the mass it puts on
         each outcome, and by the aggregation property of the Dirichlet
         distribution the summed weights of merged atoms follow the law of
         the unmerged ones, so the posterior law is unchanged.
         """
-        if loss.reads_covariates:
-            return None, base
-        return SortedRows.of(labeled), SortedBase.of(base)
+        return self.rows(labeled, base), base if loss.reads_covariates else SortedBase.of(base)
 
     def levels(self, state, sorted_y):
         """The distinct values `_map` takes on the ascending outcomes
@@ -107,7 +114,13 @@ class StepMap(_RealMap):
 
 
 class _MomentMap(_RealMap):
-    """Real maps whose fitted state is a few scalars."""
+    """Real maps whose fitted state is a few scalars, fit on `MomentRows`."""
+
+    def rows(self, labeled, base):
+        return MomentRows.of(labeled, base)
+
+    def prepare(self, labeled, base, loss):
+        return None, base
 
     def load_state(self, arrays):
         return {key: float(a[0]) for key, a in arrays.items()}
@@ -118,7 +131,7 @@ class Identity(RectifierSpec):
     tag = "identity"
     calibrated = False
 
-    def fit(self, calib, base):
+    def fit_counts(self, calib):
         return FittedRectifier(self, {})
 
     def apply(self, state, base):
@@ -128,10 +141,6 @@ class Identity(RectifierSpec):
 @dataclass(frozen=True)
 class QuantileMap(StepMap):
     tag = "quantile-map"
-
-    def fit(self, calib, base):
-        true, imputed = _paired_real(calib)
-        return fit_quantile_map(true, imputed)
 
     def fit_counts(self, calib):
         rows, counts = calib.rows, calib.counts
@@ -150,10 +159,6 @@ class QuantileMap(StepMap):
 class Isotonic(StepMap):
     tag = "isotonic"
 
-    def fit(self, calib, base):
-        true, imputed = _paired_real(calib)
-        return fit_isotonic(imputed, true)
-
     def fit_counts(self, calib):
         rows = calib.rows
         state = _pooled_isotonic(rows.knots, rows.knot_of, rows.true_by_imputed,
@@ -169,8 +174,9 @@ class Isotonic(StepMap):
 class MomentShift(_MomentMap):
     tag = "moment-shift"
 
-    def fit(self, calib, base):
-        return fit_moment_shift(calib, base)
+    def fit_counts(self, calib):
+        rows = calib.rows
+        return FittedRectifier(self, {"shift": float(rows.mean(0, calib.counts) - rows.base[0, 1])})
 
     def _map(self, state, y):
         return y + state["shift"]
@@ -180,8 +186,17 @@ class MomentShift(_MomentMap):
 class MomentAffine(_MomentMap):
     tag = "moment-affine"
 
-    def fit(self, calib, base):
-        return fit_moment_affine(calib, base)
+    def fit_counts(self, calib):
+        """Solves the stacked 1 + d_x moment equations in least squares.
+        When the system is rank deficient (base imputations effectively
+        constant, or a constant covariate duplicating the mean equation), it
+        falls back to the moment-shift solution (b = 1)."""
+        rows = calib.rows
+        means = np.array([rows.mean(j, calib.counts) for j in range(rows.base.shape[0])])
+        sol, _, rank, _ = np.linalg.lstsq(rows.base, means, rcond=1e-10)
+        if rank < 2:
+            return FittedRectifier(self, {"a": float(means[0] - rows.base[0, 1]), "b": 1.0})
+        return FittedRectifier(self, {"a": float(sol[0]), "b": float(sol[1])})
 
     def _map(self, state, y):
         return state["a"] + state["b"] * y
@@ -199,9 +214,6 @@ class ProbRecalib(RectifierSpec):
         if self.ridge < 0:
             raise ParameterError("ridge must be nonnegative")
 
-    def fit(self, calib, base):
-        return fit_prob_recalib(calib, self)
-
     def fit_counts(self, calib):
         """The fit on the rows drawn, each weighted by its count, started
         from the fit on all rows."""
@@ -213,8 +225,11 @@ class ProbRecalib(RectifierSpec):
         coef = theta.reshape(num_classes, -1)
         return FittedRectifier(self, {"W": coef[:, 1:], "b": coef[:, 0]})
 
+    def rows(self, labeled, base):
+        return RecalibRows.of(labeled, self)
+
     def prepare(self, labeled, base, loss):
-        return RecalibRows.of(labeled, self), RecalibBase.of(base, self.clamp)
+        return self.rows(labeled, base), RecalibBase.of(base, self.clamp)
 
     def apply(self, state, base):
         if isinstance(base, AtomicMeasure):
@@ -375,11 +390,46 @@ class RecalibRows(_Rows):
 
 
 @dataclass(frozen=True)
+class MomentRows(_Rows):
+    """The labeled rows as the moments a moment map matches, with the base's,
+    built once per posterior run.  Row 0 of `cols` holds each labeled row's
+    outcome and row j + 1 its covariate j times its outcome.  Row 0 of
+    `base` is (1, the base's weighted mean outcome) and row j + 1 the base's
+    weighted means of covariate j and of covariate j times the outcome."""
+
+    cols: np.ndarray
+    base: np.ndarray
+
+    @classmethod
+    def of(cls, labeled: LabeledSample, base: AtomicMeasure) -> "MomentRows":
+        if labeled.outcomes.kind != REAL:
+            raise OutcomeTypeError("moment maps require real outcomes")
+        y, yhat, w = labeled.outcomes.values, _base_real_values(base), base.weights
+        moments = [[1.0, float(np.average(yhat, weights=w))]]
+        moments += [[float(np.average(x, weights=w)), float(np.average(x * yhat, weights=w))]
+                    for x in base.covariates.T]
+        return cls(np.vstack([y, labeled.covariates.T * y]), np.array(moments))
+
+    @property
+    def n(self) -> int:
+        return self.cols.shape[1]
+
+    def mean(self, j, counts) -> float:
+        """The mean of `cols[j]` over the rows, row i counted counts[i] times."""
+        return float(np.average(self.cols[j], weights=counts))
+
+
+@dataclass(frozen=True)
 class Resample:
     """The multiset of `rows` holding row i counts[i] times."""
 
-    rows: _Rows
+    rows: _Rows | None
     counts: np.ndarray
+
+    @classmethod
+    def once(cls, rows: _Rows | None, n: int) -> "Resample":
+        """The resample holding each of the n `rows` once."""
+        return cls(rows, np.ones(n, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -443,6 +493,12 @@ def make_calibration_sample(labeled: LabeledSample, strategy: CalibrationStrateg
 # fitting
 # ---------------------------------------------------------------------------
 
+def _pairs(true, imputed) -> LabeledSample:
+    """A calibration sample of paired real outcomes, without covariates."""
+    true = np.asarray(true, dtype=float)
+    return LabeledSample(np.empty((true.size, 0)), Outcomes.real(true), Outcomes.real(imputed))
+
+
 def fit_quantile_map(calib_true, calib_imputed) -> FittedRectifier:
     """Empirical quantile-mapping transform y -> Fhat_Y^{-1}(Fhat_Yhat(y)).
 
@@ -451,11 +507,7 @@ def fit_quantile_map(calib_true, calib_imputed) -> FittedRectifier:
     ceil(u*m)-th order statistic of the true grid, clamping below the grid
     to the smallest order statistic.
     """
-    t = np.sort(np.asarray(calib_true, dtype=float))
-    i = np.sort(np.asarray(calib_imputed, dtype=float))
-    if t.size != i.size or t.size < 1:
-        raise ParameterError("calibration grids must be nonempty and of equal length")
-    return FittedRectifier(QuantileMap(), {"imputed_grid": i, "true_grid": t})
+    return fit_rectifier(QuantileMap(), _pairs(calib_true, calib_imputed), None)
 
 
 def pava(values, weights) -> np.ndarray:
@@ -471,13 +523,7 @@ def fit_isotonic(calib_imputed, calib_true) -> FittedRectifier:
     Application is stepwise constant with knots at midpoints between
     consecutive distinct imputed values, clamped beyond the grid.
     """
-    x = np.asarray(calib_imputed, dtype=float)
-    y = np.asarray(calib_true, dtype=float)
-    if x.size != y.size or x.size < 1:
-        raise ParameterError("calibration vectors must be nonempty and of equal length")
-    order = np.argsort(x, kind="stable")
-    return FittedRectifier(Isotonic(), _pooled_isotonic(*_knots(x[order]), y[order],
-                                                        np.ones(x.size)))
+    return fit_rectifier(Isotonic(), _pairs(calib_true, calib_imputed), None)
 
 
 def _knots(x):
@@ -506,38 +552,12 @@ def _base_real_values(base: AtomicMeasure):
 
 def fit_moment_shift(calib: LabeledSample, base: AtomicMeasure) -> FittedRectifier:
     """Scalar shift making the rectified base mean equal the calibration mean."""
-    if calib.outcomes.kind != REAL:
-        raise OutcomeTypeError("moment shift requires real outcomes")
-    c = calib.outcomes.values.mean() - np.average(_base_real_values(base), weights=base.weights)
-    return FittedRectifier(MomentShift(), {"shift": float(c)})
+    return fit_rectifier(MomentShift(), calib, base)
 
 
 def fit_moment_affine(calib: LabeledSample, base: AtomicMeasure) -> FittedRectifier:
-    """Affine map y -> a + b*y matching mean and covariate-cross moments.
-
-    Solves the stacked 1 + d_x moment equations in least squares.  When the
-    system is rank deficient (base imputations effectively constant, or a
-    constant covariate duplicating the mean equation), it falls back to the
-    moment-shift solution (b = 1).
-    """
-    if calib.outcomes.kind != REAL:
-        raise OutcomeTypeError("moment affine requires real outcomes")
-    yhat = _base_real_values(base)
-    w = base.weights
-    yc = calib.outcomes.values
-    rows = [[1.0, float(np.average(yhat, weights=w))]]
-    rhs = [yc.mean()]
-    for j in range(base.covariates.shape[1]):
-        xb = base.covariates[:, j]
-        rows.append([float(np.average(xb, weights=w)), float(np.average(xb * yhat, weights=w))])
-        rhs.append(float(np.mean(calib.covariates[:, j] * yc)))
-    A = np.asarray(rows)
-    r = np.asarray(rhs)
-    sol, _, rank, _ = np.linalg.lstsq(A, r, rcond=1e-10)
-    if rank < 2:
-        shift = fit_moment_shift(calib, base)
-        return FittedRectifier(MomentAffine(), {"a": shift.state["shift"], "b": 1.0})
-    return FittedRectifier(MomentAffine(), {"a": float(sol[0]), "b": float(sol[1])})
+    """Affine map y -> a + b*y matching mean and covariate-cross moments."""
+    return fit_rectifier(MomentAffine(), calib, base)
 
 
 def clamp_log_probs(p, clamp):
@@ -554,8 +574,7 @@ def fit_prob_recalib(calib: LabeledSample, spec: ProbRecalib) -> FittedRectifier
     class probabilities; (W, b) minimize ridge-regularized cross-entropy on
     the features (log clamped probabilities, covariates).
     """
-    rows = RecalibRows.of(calib, spec)
-    return spec._fitted(rows.solve(slice(None), np.ones(rows.n)), rows.num_classes)
+    return fit_rectifier(spec, calib, None)
 
 
 def apply_rectifier(r: FittedRectifier,
@@ -583,12 +602,13 @@ def _paired_real(calib: LabeledSample):
 
 
 def fit_rectifier(spec: RectifierSpec, calib: LabeledSample | Resample,
-                  base: AtomicMeasure) -> FittedRectifier:
-    """Fit any rectifier family on a calibration sample, or one that
-    prepares its rows on a `Resample` of them."""
-    if isinstance(calib, Resample):
-        return spec.fit_counts(calib)
-    return spec.fit(calib, base)
+                  base: AtomicMeasure | None) -> FittedRectifier:
+    """Fit any rectifier family on a `Resample` of the labeled rows its
+    `rows` prepares; a calibration sample is the resample holding each of
+    its rows, prepared against `base`, once."""
+    if isinstance(calib, LabeledSample):
+        calib = Resample.once(spec.rows(calib, base), calib.n)
+    return spec.fit_counts(calib)
 
 
 def score_discrepancy(base: AtomicMeasure, reference: AtomicMeasure,

@@ -46,6 +46,8 @@ from rectiprior.rectifiers import (
     ProbRecalib,
     QuantileMap,
     RecalibRows,
+    SortedBase,
+    SortedRows,
     Split,
     apply_rectifier,
     fit_rectifier,
@@ -420,7 +422,7 @@ class TestRunPlan:
         base = AtomicMeasure(np.zeros((k, 1)), Outcomes.real(1.0 + 0.5 * rng.normal(size=k)))
         config = PriorConfig(gamma=gamma, draws=draws, rectifier=rectifier, strategy=strategy,
                              seed=8)
-        assert plan_run(labeled, base, loss, config).rows is not None
+        assert isinstance(plan_run(labeled, base, loss, config).target, SortedBase)
         engine = run_posterior(labeled, base, loss, config).samples[:, 0]
         gen = np.random.default_rng(8)
         covs = np.vstack([labeled.covariates, base.covariates])
@@ -443,7 +445,7 @@ class TestRunPlan:
 
         def merges(loss, rectifier, strategy, base=base):
             config = PriorConfig(gamma=1.0, rectifier=rectifier, strategy=strategy)
-            return plan_run(labeled, base, loss, config).rows is not None
+            return isinstance(plan_run(labeled, base, loss, config).target, SortedBase)
 
         assert merges(MeanLoss(), QuantileMap(), Npb())
         assert merges(QuantileLoss(0.9), Isotonic(), Split(0.5))
@@ -452,6 +454,11 @@ class TestRunPlan:
         assert not merges(LinearRegressionLoss(), QuantileMap(), Npb())
         assert not merges(MeanLoss(), MomentShift(), Npb())
         assert merges(MeanLoss(), QuantileMap(), Fixed())
+        # a step map fits on its sorted rows whatever the loss; only its
+        # target depends on whether the loss reads covariates
+        plan = plan_run(labeled, base, LinearRegressionLoss(),
+                        PriorConfig(gamma=1.0, rectifier=QuantileMap(), strategy=Npb()))
+        assert isinstance(plan.rows, SortedRows) and plan.target is base
 
     @pytest.mark.parametrize("rectifier", [Identity(), ProbRecalib()])
     def test_separable_sample_start_fails_no_draw_that_zero_passes(self, rectifier, monkeypatch):
