@@ -33,9 +33,11 @@ from .rectifiers import (
     CalibrationStrategy,
     Fixed,
     Identity,
+    MomentRows,
     RecalibBase,
     RecalibRows,
     RectifierSpec,
+    Resample,
     SortedBase,
     SortedRows,
     apply_rectifier,
@@ -103,8 +105,9 @@ class RunPlan:
 
     A field left None is built by each draw from its own random stream.
     `rows` and `target` are the labeled rows and the base as the rectifier's
-    `prepare` gives them: a draw calibrates on a `Resample` of the rows when
-    there are any, and rectifies the target.  `rect` is the rectified base;
+    `prepare` gives them: a draw calibrates on a `Resample` of the rows
+    (None only for a rectifier that ignores them), and rectifies the
+    target.  `rect` is the rectified base;
     `covariates` are `_stack`ed for the inference rows and the base atoms;
     `outcomes` concatenates the inference outcomes and the rectified base's.
     When the target is a `SortedBase`, a draw rectifies it into the levels
@@ -117,7 +120,7 @@ class RunPlan:
     rect: AtomicMeasure | None = None
     covariates: np.ndarray | None = None
     outcomes: Outcomes | None = None
-    rows: SortedRows | RecalibRows | None = None
+    rows: SortedRows | MomentRows | RecalibRows | None = None
     target: AtomicMeasure | SortedBase | RecalibBase | None = None
     presorted: bool = False
     start: np.ndarray | None = None
@@ -147,10 +150,10 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
     """Build once what every draw of the run would otherwise rebuild.
 
     The rectifier's `prepare` gives the labeled rows and the base as its
-    fits and applies take them (sorted, or as recalibration features).  The
-    rectified base is fixed when the rectifier ignores its calibration
-    sample or the strategy calibrates on the whole labeled sample every
-    time.  Rectifiers never change covariates, so the stacked covariates are
+    fits and applies take them (sorted, as moments or as recalibration
+    features).  The rectified base is fixed, fit on every row once, when
+    the rectifier ignores its calibration sample or the strategy calibrates
+    on the whole labeled sample every time.  Rectifiers never change covariates, so the stacked covariates are
     fixed whenever the strategy infers on the whole labeled sample and the
     number of rectified atoms is fixed, and the concatenated outcomes are
     too when the rectified base is fixed and no class labels are drawn from
@@ -172,7 +175,8 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
     presorted = merges and loss.sorts_outcomes and not config.strategy.random_inference
     rect = covariates = outcomes = None
     if _rectifies_once(config):
-        rect = apply_rectifier(fit_rectifier(config.rectifier, labeled, base), target)
+        fitted = fit_rectifier(config.rectifier, Resample.once(rows, labeled.n), base)
+        rect = apply_rectifier(fitted, target)
     # a draw rectifying into the levels of its own fit has as many atoms as levels
     if not config.strategy.random_inference and (rect is not None or not merges):
         covariates = _stack(labeled, base if rect is None else rect, loss)

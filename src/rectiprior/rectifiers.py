@@ -119,9 +119,6 @@ class _MomentMap(_RealMap):
     def rows(self, labeled, base):
         return MomentRows.of(labeled, base)
 
-    def prepare(self, labeled, base, loss):
-        return None, base
-
     def load_state(self, arrays):
         return {key: float(a[0]) for key, a in arrays.items()}
 
