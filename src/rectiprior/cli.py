@@ -220,12 +220,14 @@ def _cmd_diagnose(args):
     theta_tilde = labeled_erm(labeled, loss)
     theta_mixed = mixed_erm(labeled, rect, loss, args.gamma)
     est = sandwich(labeled, rect, loss, theta_mixed, args.gamma)
-    bias = predict_centering_bias(labeled, rect, loss, theta_tilde, args.gamma)
     reference = empirical_measure(labeled)
     lines = [f"rectifier: {args.rectifier}, fit once on the whole labeled sample",
              f"mixed ERM theta: {theta_mixed}",
              f"sandwich covariance diagonal: {est.cov.diagonal()}",
-             f"predicted centering bias: {bias}",
+             "predicted centering bias: "
+             f"{predict_centering_bias(labeled, rect, loss, theta_tilde, args.gamma)}",
+             "predicted centering bias of the raw base: "
+             f"{predict_centering_bias(labeled, base, loss, theta_tilde, args.gamma)}",
              "score discrepancy at theta-tilde, labeled minus raw base: "
              f"{score_discrepancy(base, reference, loss, theta_tilde)}",
              "score discrepancy at theta-tilde, labeled minus rectified base: "

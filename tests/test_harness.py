@@ -450,6 +450,19 @@ class TestCli:
         assert discrepancies("quantile-map") == pytest.approx([0.66875, 0.011373], abs=1e-5)
         assert discrepancies("isotonic") == pytest.approx([0.66875, 0.021120], abs=1e-5)
 
+    def test_diagnose_reports_the_bias_before_rectification(self, capsys):
+        # the raw base's predicted bias sits next to the rectified base's;
+        # with the identity rectifier the two lines agree
+        def biases(rectifier):
+            assert cli(["diagnose", "--scenario", "monotone-distortion", "--n", "300",
+                        "--n-unlabeled", "2000", "--gamma", "1", "--rectifier", rectifier]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [float(l.split("[")[1].rstrip("]")) for l in lines
+                    if l.startswith("predicted centering bias")]
+
+        assert biases("identity") == pytest.approx([0.334374, 0.334374], abs=1e-5)
+        assert biases("quantile-map") == pytest.approx([0.005686, 0.334374], abs=1e-5)
+
     def test_usage_error_is_1(self, capsys):
         assert cli(["infer"]) == 1
         assert cli(["infer", "--loss", "logistic", "--scenario",
