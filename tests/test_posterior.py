@@ -460,6 +460,23 @@ class TestRunPlan:
                         PriorConfig(gamma=1.0, rectifier=QuantileMap(), strategy=Npb()))
         assert isinstance(plan.rows, SortedRows) and plan.target is base
 
+    @pytest.mark.parametrize("rectifier,loss", [(QuantileMap(), LinearRegressionLoss()),
+                                                (MomentShift(), MeanLoss())],
+                             ids=["quantile-map-ols", "moment-shift-mean"])
+    def test_npb_draws_build_no_calibration_sample(self, rectifier, loss, monkeypatch):
+        # every draw fits on counts over the labeled rows prepared once per
+        # run, whatever the loss, so no draw takes labeled rows into a sample
+        labeled, base, _ = generate_scenario(ScenarioSpec("heteroscedastic-linear", n=40,
+                                                          n_unlabeled=60, seed=1))
+        taken = []
+        take = LabeledSample.take
+        monkeypatch.setattr(LabeledSample, "take",
+                            lambda sample, idx: taken.append(idx) or take(sample, idx))
+        config = PriorConfig(gamma=1.0, draws=20, rectifier=rectifier, strategy=Npb(), seed=3)
+        run = run_posterior(labeled, base, loss, config)
+        assert run.statuses == ("ok",) * 20
+        assert taken == []
+
     @pytest.mark.parametrize("rectifier", [Identity(), ProbRecalib()])
     def test_separable_sample_start_fails_no_draw_that_zero_passes(self, rectifier, monkeypatch):
         # 30 labeled rows that a linear rule separates, with the default

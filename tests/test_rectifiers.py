@@ -83,11 +83,109 @@ def reference_pava(values, weights):
     return np.repeat(vals, lens)
 
 
+def tied_calibration(rng, n):
+    """A calibration sample with ties among its imputed and true outcomes."""
+    yhat = rng.integers(0, 6, n).astype(float)
+    y = rng.integers(0, 4, n) + rng.normal(size=n) * (rng.random() < 0.5)
+    return real_sample(y, yhat=yhat)
+
+
+def calibrated_cases(rng, n=40, k=30):
+    """Every calibrated family with a calibration sample and a base it fits:
+    tied real rows with two covariates, or class rows with imputed
+    probabilities."""
+    tied = tied_calibration(rng, n)
+    real = LabeledSample(rng.normal(size=(n, 2)), tied.outcomes, tied.imputed)
+    base = real_base(rng.normal(size=k), x=rng.normal(size=(k, 2)),
+                     weights=rng.dirichlet(np.ones(k)))
+    classes = LabeledSample(rng.normal(size=(n, 2)), Outcomes.classes(rng.integers(0, 3, n), 3),
+                            Outcomes.probs(rng.dirichlet(np.ones(3), size=n)))
+    probs = AtomicMeasure(rng.normal(size=(k, 2)), Outcomes.probs(rng.dirichlet(np.ones(3), size=k)))
+    return [(QuantileMap(), real, base), (Isotonic(), real, base), (MomentShift(), real, base),
+            (MomentAffine(), real, base), (ProbRecalib(), classes, probs)]
+
+
+def pooled_afresh(x, y, counts):
+    """Isotonic state for rows sorted by imputed value x, pooling the rows of
+    each distinct x weighted by their counts."""
+    first = np.concatenate([[True], x[1:] != x[:-1]])
+    knot = np.cumsum(first) - 1
+    mass = np.bincount(knot, weights=counts)
+    sums = np.bincount(knot, weights=counts * y)
+    kept = mass > 0
+    return {"knots": x[first][kept], "fitted": pava(sums[kept] / mass[kept], mass[kept])}
+
+
+def fit_by_definition(spec, labeled, base):
+    """The fitted state of `spec` on a whole calibration sample as its family
+    defines it, by sorting, pooling, averaging or solving on the sample's
+    own rows."""
+    y = labeled.outcomes.values
+    if isinstance(spec, QuantileMap):
+        return {"imputed_grid": np.sort(labeled.imputed.values), "true_grid": np.sort(y)}
+    if isinstance(spec, Isotonic):
+        order = np.argsort(labeled.imputed.values, kind="stable")
+        return pooled_afresh(labeled.imputed.values[order], y[order], np.ones(labeled.n))
+    if isinstance(spec, ProbRecalib):
+        theta = RecalibRows.of(labeled, spec).solve(slice(None), np.ones(labeled.n))
+        coef = theta.reshape(labeled.outcomes.num_classes, -1)
+        return {"W": coef[:, 1:], "b": coef[:, 0]}
+    yhat, w = base.outcomes.values, base.weights
+    if isinstance(spec, MomentShift):
+        return {"shift": float(y.mean() - np.average(yhat, weights=w))}
+    moments = [[1.0, float(np.average(yhat, weights=w))]]
+    moments += [[float(np.average(x, weights=w)), float(np.average(x * yhat, weights=w))]
+                for x in base.covariates.T]
+    means = [y.mean()] + [float(np.mean(x * y)) for x in labeled.covariates.T]
+    sol, _, rank, _ = np.linalg.lstsq(np.asarray(moments), np.asarray(means), rcond=1e-10)
+    assert rank == 2
+    return {"a": float(sol[0]), "b": float(sol[1])}
+
+
+def assert_same_state(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+
+
+def assert_fits_agree(spec, got, want):
+    """The fits of `spec` on a resample's counts and on its repeated rows
+    agree: quantile maps bit for bit; isotonic knots exactly and their values
+    up to the rounding of pooled sums; moment maps within 1e-13 (relative and
+    absolute, outcomes of order one); probability recalibration within
+    2 tol / ridge, where both solves meet the gradient tolerance tol (see
+    test_fit_on_counts_solves_the_resample_problem)."""
+    if isinstance(spec, QuantileMap):
+        assert_same_state(got, want)
+    elif isinstance(spec, Isotonic):
+        assert np.array_equal(got["knots"], want["knots"])
+        assert np.allclose(got["fitted"], want["fitted"], rtol=1e-12, atol=1e-12)
+    elif isinstance(spec, ProbRecalib):
+        theta = [np.column_stack([s["b"], s["W"]]).ravel() for s in (got, want)]
+        assert np.linalg.norm(theta[0] - theta[1]) <= 2 * (1e-8 + 1e-12) / spec.ridge
+    else:
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-13, abs=1e-13), key
+
+
 class TestCalibrationStrategies:
     def test_fixed_returns_input_twice(self):
         s = real_sample(np.arange(10.0))
         calib, inf = make_calibration_sample(s, Fixed(), RngStream(0))
         assert calib is s and inf is s
+        # a Fixed run fits on its prepared rows, each counted once, and a
+        # calibration sample is fit that way too: either is the fit its
+        # family defines on the whole sample, bit for bit
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 7, 40, 150):
+            for spec, labeled, base in calibrated_cases(rng, n=n):
+                if isinstance(spec, MomentAffine) and n < 2:
+                    continue
+                want = fit_by_definition(spec, labeled, base)
+                rows = spec.rows(labeled, base)
+                assert_same_state(spec.fit_counts(Resample.once(rows, n)).state, want)
+                assert_same_state(fit_rectifier(spec, labeled, base).state, want)
 
     def test_split_partition(self):
         s = real_sample(np.arange(10.0))
@@ -140,13 +238,6 @@ def test_apply_is_monotone_in_base_outcome(spec, calib, base_y):
     assert np.all(np.diff(out) >= 0)
 
 
-def tied_calibration(rng, n):
-    """A calibration sample with ties among its imputed and true outcomes."""
-    yhat = rng.integers(0, 6, n).astype(float)
-    y = rng.integers(0, 4, n) + rng.normal(size=n) * (rng.random() < 0.5)
-    return real_sample(y, yhat=yhat)
-
-
 class TestStepLevels:
     @pytest.mark.parametrize("spec", [QuantileMap(), Isotonic()])
     def test_levels_are_unique_of_apply(self, spec):
@@ -188,6 +279,16 @@ class TestStepLevels:
             assert np.array_equal(counted.counts,
                                   np.bincount(drawn.outcomes.values.astype(int), minlength=30))
             assert np.array_equal(same.outcomes.values, inference.outcomes.values)
+        # every calibrated family fits a Resample of its prepared rows as it
+        # fits the rows the same stream draws
+        for spec, labeled, base in calibrated_cases(np.random.default_rng(9)):
+            rows = spec.rows(labeled, base)
+            for b in range(20):
+                drawn, _ = make_calibration_sample(labeled, strategy, RngStream(4, (b,)))
+                counted, _ = make_calibration_sample(labeled, strategy, RngStream(4, (b,)), rows)
+                assert counted.rows is rows
+                assert_fits_agree(spec, fit_rectifier(spec, counted, base).state,
+                                  fit_rectifier(spec, drawn, base).state)
 
     def test_quantile_map_from_counts_is_the_resample_fit(self):
         rng = np.random.default_rng(3)
@@ -207,14 +308,6 @@ class TestStepLevels:
     def test_isotonic_cached_knots_match_per_draw_pooling(self):
         # the knots cached in SortedRows must give the fit that pooling the
         # resample's rows afresh gives, byte for byte, with knots of count 0
-        def pooled_afresh(x, y, counts):
-            first = np.concatenate([[True], x[1:] != x[:-1]])
-            knot = np.cumsum(first) - 1
-            mass = np.bincount(knot, weights=counts)
-            sums = np.bincount(knot, weights=counts * y)
-            kept = mass > 0
-            return {"knots": x[first][kept], "fitted": pava(sums[kept] / mass[kept], mass[kept])}
-
         rng = np.random.default_rng(6)
         empty_knots = 0
         for b in range(200):
