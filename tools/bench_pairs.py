@@ -7,10 +7,12 @@ Each commit is exported with ``git archive`` into its own directory, and
 ``perfbench/run.py --trace 0`` runs there, so both sides run their own
 benchmark and library code.  For every workload the script runs N pairs, the
 parent first in even pairs and the change first in odd ones, and then
-prints, for each end-to-end metric in the change's ``BENCHMARK.json``: every
+prints each side's failed and attempted operations, summed over its runs,
+and, for each end-to-end metric in the change's ``BENCHMARK.json``: every
 pair's values, each side's median and quartiles, the change/parent ratio of
 the medians, the pairs the change won (ties count for neither side), and
 whether the medians differ by more than the parent's interquartile range.
+It exits with status 1 when a run was not correct.
 """
 
 from __future__ import annotations
@@ -61,6 +63,16 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
+def operations(pairs: list[dict], side: str) -> str:
+    """`side`'s failed/attempted operations over the runs that count them,
+    with the failed share, and how many runs gave no counts."""
+    runs = [pair[side] for pair in pairs if "attempted" in pair[side]]
+    failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+    share = f"{failed / attempted:.4f}" if attempted else "n/a"
+    line, missing = f"{side} {failed}/{attempted} (share {share})", len(pairs) - len(runs)
+    return line + (f", {missing} runs without counts" if missing else "")
+
+
 def report(workload: str, pairs: list[dict], metrics: list[dict]) -> list[str]:
     lines = [f"== {workload}: {len(pairs)} pairs"]
     for pair in pairs:
@@ -68,6 +80,8 @@ def report(workload: str, pairs: list[dict], metrics: list[dict]) -> list[str]:
             if not pair[side].get("correct"):
                 lines.append(f"  pair {pair['index']} {side} not correct: "
                              f"{pair[side].get('error', 'check failed')}")
+    lines.append("  operations failed/attempted: "
+                 + "  ".join(operations(pairs, side) for side in SIDES))
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [] for side in SIDES}
@@ -114,12 +128,14 @@ def main(argv=None) -> int:
                  for side, rev in zip(SIDES, (args.parent, args.change))}
         metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
         results = {}
+        correct = True
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
                 pair = {"index": i}
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                     pair[side] = run_once(trees[side], workload, args.seed, args.seconds)
+                    correct &= pair[side].get("correct") is True
                 pairs.append(pair)
                 print(f"{workload} pair {i} done", file=sys.stderr, flush=True)
             results[workload] = pairs
@@ -130,7 +146,7 @@ def main(argv=None) -> int:
         Path(args.out).write_text(json.dumps({"parent": args.parent, "change": args.change,
                                               "seed": args.seed, "seconds": args.seconds,
                                               "runs": results}, indent=1) + "\n")
-    return 0
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":
