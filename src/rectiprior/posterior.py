@@ -130,13 +130,6 @@ def _realizes_labels(rect: AtomicMeasure, loss: LossSpec) -> bool:
     return rect.outcomes.kind == PROBS and is_classification(loss)
 
 
-def _rectifies_once(config: PriorConfig) -> bool:
-    """Whether every draw rectifies the base alike: the rectifier ignores its
-    calibration sample or the strategy calibrates on the whole labeled
-    sample every time."""
-    return not (config.strategy.random_calibration and config.rectifier.calibrated)
-
-
 def _stack(inference: LabeledSample, rect: AtomicMeasure, loss: LossSpec) -> np.ndarray:
     """The inference rows' covariates over the rectified atoms', for a loss
     that reads them; an empty block of as many rows for one that does not."""
@@ -153,14 +146,15 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
     fits and applies take them (sorted, as moments or as recalibration
     features).  The rectified base is fixed, fit on every row once, when
     the rectifier ignores its calibration sample or the strategy calibrates
-    on the whole labeled sample every time.  Rectifiers never change covariates, so the stacked covariates are
-    fixed whenever the strategy infers on the whole labeled sample and the
-    number of rectified atoms is fixed, and the concatenated outcomes are
-    too when the rectified base is fixed and no class labels are drawn from
-    it.  Labeled rows are presented sorted when every draw infers on all of
-    them and the loss sorts them anyway: the levels follow them already
-    ascending, so the loss's stable sort meets two sorted runs, and ties
-    stay labeled rows first, then by row index, as in row order.
+    on the whole labeled sample every time.  Rectifiers never change
+    covariates, so the stacked covariates are fixed whenever the strategy
+    infers on the whole labeled sample and the number of rectified atoms is
+    fixed, and the concatenated outcomes are too when the rectified base is
+    fixed and no class labels are drawn from it.  Labeled rows are presented
+    sorted when every draw infers on all of them and the loss sorts them
+    anyway: the levels follow them already ascending, so the loss's stable
+    sort meets two sorted runs, and ties stay labeled rows first, then by
+    row index, as in row order.
 
     A loss that `warm_starts` gets the labeled sample's own ERM, with equal
     weights, as every draw's start: a draw reweights the same rows and adds
@@ -174,7 +168,7 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
     merges = isinstance(target, SortedBase)
     presorted = merges and loss.sorts_outcomes and not config.strategy.random_inference
     rect = covariates = outcomes = None
-    if _rectifies_once(config):
+    if not (config.strategy.random_calibration and config.rectifier.calibrated):
         fitted = fit_rectifier(config.rectifier, Resample.once(rows, labeled.n), base)
         rect = apply_rectifier(fitted, target)
     # a draw rectifying into the levels of its own fit has as many atoms as levels

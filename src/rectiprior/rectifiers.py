@@ -157,10 +157,15 @@ class Isotonic(StepMap):
     tag = "isotonic"
 
     def fit_counts(self, calib):
-        rows = calib.rows
-        state = _pooled_isotonic(rows.knots, rows.knot_of, rows.true_by_imputed,
-                                 calib.counts[rows.imputed_order])
-        return FittedRectifier(self, state)
+        """Pools the rows of each knot into one, weighted by their total
+        count, then PAVA fits the knots' mean true values.  Knots whose rows
+        all have count 0 are left out."""
+        rows, counts = calib.rows, calib.counts[calib.rows.imputed_order]
+        mass = np.bincount(rows.knot_of, weights=counts)
+        sums = np.bincount(rows.knot_of, weights=counts * rows.true_by_imputed)
+        kept = mass > 0
+        return FittedRectifier(self, {"knots": rows.knots[kept],
+                                      "fitted": pava(sums[kept] / mass[kept], mass[kept])})
 
     def _steps(self, state):
         knots = state["knots"]
@@ -216,10 +221,7 @@ class ProbRecalib(RectifierSpec):
         from the fit on all rows."""
         rows, counts = calib.rows, calib.counts
         drawn = np.flatnonzero(counts)
-        return self._fitted(rows.solve(drawn, counts[drawn], rows.start), rows.num_classes)
-
-    def _fitted(self, theta, num_classes):
-        coef = theta.reshape(num_classes, -1)
+        coef = rows.solve(drawn, counts[drawn], rows.start).reshape(rows.num_classes, -1)
         return FittedRectifier(self, {"W": coef[:, 1:], "b": coef[:, 0]})
 
     def rows(self, labeled, base):
@@ -330,10 +332,15 @@ class SortedRows(_Rows):
 
     @classmethod
     def of(cls, labeled: LabeledSample) -> "SortedRows":
-        true, imputed = _paired_real(labeled)
+        if labeled.outcomes.kind != REAL:
+            raise OutcomeTypeError("rectifier requires real outcomes")
+        if labeled.imputed is None or labeled.imputed.kind != REAL:
+            raise OutcomeTypeError("calibration sample must carry real imputed outcomes")
+        true, imputed = labeled.outcomes.values, labeled.imputed.values
         t, i = np.argsort(true, kind="stable"), np.argsort(imputed, kind="stable")
-        sorted_imputed = imputed[i]
-        return cls(t, i, Outcomes.real(true[t]), sorted_imputed, *_knots(sorted_imputed), true[i])
+        x = imputed[i]
+        first = np.concatenate([[True], x[1:] != x[:-1]])
+        return cls(t, i, Outcomes.real(true[t]), x, x[first], np.cumsum(first) - 1, true[i])
 
     @property
     def n(self) -> int:
@@ -492,8 +499,7 @@ def make_calibration_sample(labeled: LabeledSample, strategy: CalibrationStrateg
 
 def _pairs(true, imputed) -> LabeledSample:
     """A calibration sample of paired real outcomes, without covariates."""
-    true = np.asarray(true, dtype=float)
-    return LabeledSample(np.empty((true.size, 0)), Outcomes.real(true), Outcomes.real(imputed))
+    return LabeledSample(np.empty((len(true), 0)), Outcomes.real(true), Outcomes.real(imputed))
 
 
 def fit_quantile_map(calib_true, calib_imputed) -> FittedRectifier:
@@ -521,24 +527,6 @@ def fit_isotonic(calib_imputed, calib_true) -> FittedRectifier:
     consecutive distinct imputed values, clamped beyond the grid.
     """
     return fit_rectifier(Isotonic(), _pairs(calib_true, calib_imputed), None)
-
-
-def _knots(x):
-    """The distinct values of the ascending x, and the index of each row's."""
-    first = np.concatenate([[True], x[1:] != x[:-1]])
-    return x[first], np.cumsum(first) - 1
-
-
-def _pooled_isotonic(knots, knot_of, y, counts):
-    """Isotonic state for rows sorted by imputed value, from `_knots` of
-    those values, with true values y and row i counted counts[i] times: the
-    rows of each knot are pooled into one weighted by their total count,
-    then PAVA fits the knots' mean true values.  Knots whose rows all have
-    count 0 are left out."""
-    mass = np.bincount(knot_of, weights=counts)
-    sums = np.bincount(knot_of, weights=counts * y)
-    kept = mass > 0
-    return {"knots": knots[kept], "fitted": pava(sums[kept] / mass[kept], mass[kept])}
 
 
 def _base_real_values(base: AtomicMeasure):
@@ -588,14 +576,6 @@ def apply_rectifier(r: FittedRectifier,
     if isinstance(base, SortedBase):
         return base.merged(*r.spec.levels(r.state, base.values))
     return r.spec.apply(r.state, base)
-
-
-def _paired_real(calib: LabeledSample):
-    if calib.outcomes.kind != REAL:
-        raise OutcomeTypeError("rectifier requires real outcomes")
-    if calib.imputed is None or calib.imputed.kind != REAL:
-        raise OutcomeTypeError("calibration sample must carry real imputed outcomes")
-    return calib.outcomes.values, calib.imputed.values
 
 
 def fit_rectifier(spec: RectifierSpec, calib: LabeledSample | Resample,
