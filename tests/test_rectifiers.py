@@ -100,7 +100,8 @@ def calibrated_cases(rng, n=40, k=30):
                      weights=rng.dirichlet(np.ones(k)))
     classes = LabeledSample(rng.normal(size=(n, 2)), Outcomes.classes(rng.integers(0, 3, n), 3),
                             Outcomes.probs(rng.dirichlet(np.ones(3), size=n)))
-    probs = AtomicMeasure(rng.normal(size=(k, 2)), Outcomes.probs(rng.dirichlet(np.ones(3), size=k)))
+    probs = AtomicMeasure(rng.normal(size=(k, 2)),
+                          Outcomes.probs(rng.dirichlet(np.ones(3), size=k)))
     return [(QuantileMap(), real, base), (Isotonic(), real, base), (MomentShift(), real, base),
             (MomentAffine(), real, base), (ProbRecalib(), classes, probs)]
 
