@@ -102,7 +102,8 @@ class MeanLoss(LossSpec):
         return np.array([[1.0]])
 
     def solve(self, X, y, w):
-        return np.array([np.average(y.values, weights=w)])
+        # np.average's arithmetic without its argument checks
+        return np.array([np.multiply(y.values, w).sum() / w.sum()])
 
 
 @dataclass(frozen=True)
@@ -424,6 +425,9 @@ def finite_diff_check(spec: LossSpec, theta, x, y_scalar, h: float = 1e-5) -> fl
 
 @dataclass(frozen=True)
 class WeightedProblem:
+    """Atoms' covariates, outcomes and strictly positive weights, and the
+    loss to minimise over them; the constructor checks that they agree."""
+
     covariates: np.ndarray
     outcomes: Outcomes
     weights: np.ndarray
@@ -436,6 +440,17 @@ class WeightedProblem:
             raise ParameterError("atom, outcome, and weight counts must agree")
         if np.any(self.weights <= 0):
             raise ParameterError("weights must be strictly positive")
+
+    @classmethod
+    def trusted(cls, covariates, outcomes: Outcomes, weights, loss: LossSpec) -> "WeightedProblem":
+        """The problem on a 2-D float covariate matrix and float weights
+        already known to agree with the outcomes and to be positive,
+        adopted without checks."""
+        problem = object.__new__(cls)
+        for name, value in (("covariates", covariates), ("outcomes", outcomes),
+                            ("weights", weights), ("loss", loss)):
+            object.__setattr__(problem, name, value)
+        return problem
 
 
 def weighted_quantile(values, weights, tau) -> float:

@@ -3,6 +3,12 @@
 Outcomes are stored in vectorized form: one container holds all outcomes of a
 sample or measure, tagged with a variant kind ("real", "class", or "probs").
 All types are immutable after construction and safe to share across workers.
+
+Validation happens where data enters: the `Outcomes`, `LabeledSample` and
+`AtomicMeasure` constructors check what they are given.  `Outcomes.trusted`
+and `AtomicMeasure.trusted` adopt arrays built from parts already checked
+without checking them again, as `Outcomes.concat` and `realize_class_labels`
+do; the arrays they hold are read-only all the same.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ PROBS = "probs"
 
 _PROB_TOL = 1e-9
 _WEIGHT_TOL = 1e-12
+TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -76,15 +83,27 @@ class Outcomes:
             sums = values.sum(axis=1)
             if np.any(np.abs(sums - 1.0) > _PROB_TOL):
                 raise ParameterError("class probabilities must sum to 1 within 1e-9")
-            values = np.clip(values, 0.0, None)
-            values = values / values.sum(axis=1, keepdims=True)
+            values = on_simplex(values)
             num_classes = values.shape[1]
         else:
             raise ParameterError(f"unknown outcome kind {kind!r}")
+        self._set(kind, values, num_classes)
+
+    def _set(self, kind, values, num_classes):
         values.setflags(write=False)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "num_classes", num_classes)
+
+    @classmethod
+    def trusted(cls, kind, values, num_classes=None) -> "Outcomes":
+        """Outcomes of `kind` from an array that already holds them as the
+        constructor would (class labels as int64, probability rows as
+        `on_simplex` gives them, and `num_classes` for both), adopted
+        without checks or a copy."""
+        outcomes = object.__new__(cls)
+        outcomes._set(kind, values, num_classes)
+        return outcomes
 
     def __setattr__(self, name, value):
         raise AttributeError("Outcomes is immutable")
@@ -112,9 +131,20 @@ class Outcomes:
 
     @staticmethod
     def concat(a: "Outcomes", b: "Outcomes") -> "Outcomes":
+        """a's outcomes, then b's.  Both were checked when they were built,
+        so only their variants are; probability rows are clipped and
+        renormalised again, as the constructor does."""
         if not a.same_variant(b):
             raise OutcomeTypeError("cannot concatenate outcomes of different variants")
-        return Outcomes(a.kind, np.concatenate([a.values, b.values]), a.num_classes)
+        values = np.concatenate([a.values, b.values])
+        return Outcomes.trusted(a.kind, on_simplex(values) if a.kind == PROBS else values,
+                                a.num_classes)
+
+
+def on_simplex(p) -> np.ndarray:
+    """Rows of p clipped at zero and divided by their sums."""
+    p = np.clip(p, 0.0, None)
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def _check_covariates(covariates, n):
@@ -191,6 +221,19 @@ class AtomicMeasure:
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 
+    @classmethod
+    def trusted(cls, covariates, outcomes: Outcomes, weights) -> "AtomicMeasure":
+        """The measure on arrays that already hold it as the constructor
+        would: 2-D float covariates, one row per outcome, and weights on the
+        simplex.  They are adopted, made read-only, without checks or a copy."""
+        covariates.setflags(write=False)
+        weights.setflags(write=False)
+        measure = object.__new__(cls)
+        for name, value in (("covariates", covariates), ("outcomes", outcomes),
+                            ("weights", weights)):
+            object.__setattr__(measure, name, value)
+        return measure
+
     @property
     def k(self) -> int:
         return len(self.outcomes)
@@ -236,7 +279,7 @@ def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
         base_g = gen.standard_gamma(alpha / k, size=k)
     else:
         base_g = gen.standard_gamma(alpha * w)
-    g = np.maximum(np.concatenate([labeled_g, base_g]), np.finfo(float).tiny)
+    g = np.maximum(np.concatenate([labeled_g, base_g]), TINY)
     return g / g.sum()
 
 
@@ -244,7 +287,7 @@ def sample_uniform_dirichlet(n: int, rng: RngStream) -> np.ndarray:
     """Flat Dirichlet(1,...,1) over n rows; the Bayesian bootstrap weight law."""
     if n < 1:
         raise ParameterError("n must be positive")
-    g = np.maximum(rng.generator().standard_exponential(n), np.finfo(float).tiny)
+    g = np.maximum(rng.generator().standard_exponential(n), TINY)
     return g / g.sum()
 
 
@@ -267,5 +310,5 @@ def realize_class_labels(base: AtomicMeasure, rng: RngStream) -> AtomicMeasure:
     p = base.outcomes.values
     u = rng.generator().random(base.k)
     labels = (p.cumsum(axis=1) < u[:, None]).sum(axis=1)
-    labels = np.minimum(labels, p.shape[1] - 1)
-    return base.with_outcomes(Outcomes.classes(labels, p.shape[1]))
+    labels = np.minimum(labels, p.shape[1] - 1, dtype=np.int64)
+    return base.with_outcomes(Outcomes.trusted(CLASS, labels, p.shape[1]))

@@ -5,6 +5,14 @@ Draw b uses the random stream (seed, run_path + (b,)) and shares no mutable
 state with other draws, so a run's output depends on its seed alone.  Draws
 run one after another: each is a few dozen short numpy calls, which extra
 threads would only contend on the interpreter lock for.
+
+Inputs are checked where they enter: the labeled sample, the base measure
+and the config by their constructors, and whether they fit together by
+`plan_run` (through the rectifier's `prepare`) and `solve_weighted`, whose
+errors recur on every draw and so stop a run at its first.  A draw builds
+its concatenated outcomes, merged levels, recalibrated probabilities, class
+labels and weighted problem from arrays already checked, without checking
+them again; the public constructors of those containers still check.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from .exceptions import ConvergenceError, ParameterError, RankDeficiencyError, R
 from .losses import LossSpec, WeightedProblem, is_classification, predict_probs, solve_weighted
 from .measures import (
     PROBS,
+    TINY,
     AtomicMeasure,
     LabeledSample,
     Outcomes,
@@ -31,6 +40,7 @@ from .rectifiers import (
     RECTIFIERS,
     STRATEGIES,
     CalibrationStrategy,
+    CountedRows,
     Fixed,
     Identity,
     MomentRows,
@@ -106,7 +116,7 @@ class RunPlan:
     A field left None is built by each draw from its own random stream.
     `rows` and `target` are the labeled rows and the base as the rectifier's
     `prepare` gives them: a draw calibrates on a `Resample` of the rows
-    (None only for a rectifier that ignores them), and rectifies the
+    (only counted for a rectifier that ignores them), and rectifies the
     target.  `rect` is the rectified base;
     `covariates` are `_stack`ed for the inference rows and the base atoms;
     `outcomes` concatenates the inference outcomes and the rectified base's.
@@ -120,7 +130,7 @@ class RunPlan:
     rect: AtomicMeasure | None = None
     covariates: np.ndarray | None = None
     outcomes: Outcomes | None = None
-    rows: SortedRows | MomentRows | RecalibRows | None = None
+    rows: SortedRows | MomentRows | RecalibRows | CountedRows | None = None
     target: AtomicMeasure | SortedBase | RecalibBase | None = None
     presorted: bool = False
     start: np.ndarray | None = None
@@ -205,8 +215,7 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     rng = RngStream(config.seed, (draw_index,))
     if config.gamma == 0.0:
         w = sample_uniform_dirichlet(labeled.n, rng.child(2))
-        problem = WeightedProblem(labeled.covariates, labeled.outcomes, w, loss)
-        return solve_weighted(problem)
+        return solve_weighted(WeightedProblem.trusted(labeled.covariates, labeled.outcomes, w, loss))
 
     if base is None:
         raise ParameterError("base measure required when gamma > 0")
@@ -230,11 +239,10 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
 
     weights = sample_dirichlet_weights(n, k, config.gamma * n, rng.child(2), rect.weights)
     # clamped once, after the normalisation, which can leave quotients subnormal
-    weights = np.maximum(weights, np.finfo(float).tiny)
+    weights = np.maximum(weights, TINY)
     if plan.presorted:
         weights[:n] = weights[plan.rows.true_order]
-    problem = WeightedProblem(covs, outs, weights, loss)
-    return solve_weighted(problem, plan.start)
+    return solve_weighted(WeightedProblem.trusted(covs, outs, weights, loss), plan.start)
 
 
 def run_posterior(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,

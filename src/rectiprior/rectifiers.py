@@ -30,6 +30,7 @@ from .measures import (
     LabeledSample,
     Outcomes,
     RngStream,
+    on_simplex,
     resample_nonparametric_bootstrap,
 )
 
@@ -49,8 +50,9 @@ class RectifierSpec:
 
     def rows(self, labeled: LabeledSample, base: AtomicMeasure):
         """The labeled rows prepared for `fit_counts`, whose `take` gives a
-        `Resample` of them; None for a rectifier whose fit ignores them."""
-        return None
+        `Resample` of them; for a rectifier whose fit ignores them, only
+        their number."""
+        return CountedRows(labeled.n)
 
     def prepare(self, labeled: LabeledSample, base: AtomicMeasure, loss: LossSpec):
         """What a posterior run builds once for every draw's fit and apply:
@@ -161,11 +163,17 @@ class Isotonic(StepMap):
         count, then PAVA fits the knots' mean true values.  Knots whose rows
         all have count 0 are left out."""
         rows, counts = calib.rows, calib.counts[calib.rows.imputed_order]
-        mass = np.bincount(rows.knot_of, weights=counts)
-        sums = np.bincount(rows.knot_of, weights=counts * rows.true_by_imputed)
-        kept = mass > 0
-        return FittedRectifier(self, {"knots": rows.knots[kept],
-                                      "fitted": pava(sums[kept] / mass[kept], mass[kept])})
+        if rows.knots.size == counts.size:
+            # one row per knot, so the pooled sums are the rows' own
+            kept = np.flatnonzero(counts > 0)
+            mass = counts[kept].astype(float)
+            sums = mass * rows.true_by_imputed[kept]
+        else:
+            mass = np.bincount(rows.knot_of, weights=counts)
+            kept = np.flatnonzero(mass)
+            mass = mass[kept]
+            sums = np.bincount(rows.knot_of, weights=counts * rows.true_by_imputed)[kept]
+        return FittedRectifier(self, {"knots": rows.knots[kept], "fitted": pava(sums / mass, mass)})
 
     def _steps(self, state):
         knots = state["knots"]
@@ -234,7 +242,10 @@ class ProbRecalib(RectifierSpec):
         if isinstance(base, AtomicMeasure):
             base = RecalibBase.of(base, self.clamp)
         z = state["W"] @ base.feats.T + state["b"][:, None]
-        return base.base.with_outcomes(Outcomes.probs(_log_sum_exp(z)[1].T))
+        # softmax rows lie on the simplex; they are clipped and renormalised
+        # as `Outcomes.probs` would
+        p = on_simplex(_log_sum_exp(z)[1].T)
+        return base.base.with_outcomes(Outcomes.trusted(PROBS, p, p.shape[1]))
 
     def load_state(self, arrays):
         b = arrays["b"]
@@ -310,6 +321,14 @@ class _Rows:
 
 
 @dataclass(frozen=True)
+class CountedRows(_Rows):
+    """The n labeled rows of a rectifier whose fit reads none of them: a
+    calibration sample drawn from them only counts rows."""
+
+    n: int
+
+
+@dataclass(frozen=True)
 class SortedRows(_Rows):
     """The labeled rows sorted by true and by imputed outcome, found once per
     posterior run.  A step rectifier is fit on a `Resample` of them without
@@ -340,7 +359,8 @@ class SortedRows(_Rows):
         t, i = np.argsort(true, kind="stable"), np.argsort(imputed, kind="stable")
         x = imputed[i]
         first = np.concatenate([[True], x[1:] != x[:-1]])
-        return cls(t, i, Outcomes.real(true[t]), x, x[first], np.cumsum(first) - 1, true[i])
+        # + 0.0 makes -0.0 the 0.0 that a knot's pooled sum of it would be
+        return cls(t, i, Outcomes.real(true[t]), x, x[first], np.cumsum(first) - 1, true[i] + 0.0)
 
     @property
     def n(self) -> int:
@@ -427,11 +447,11 @@ class MomentRows(_Rows):
 class Resample:
     """The multiset of `rows` holding row i counts[i] times."""
 
-    rows: _Rows | None
+    rows: _Rows
     counts: np.ndarray
 
     @classmethod
-    def once(cls, rows: _Rows | None, n: int) -> "Resample":
+    def once(cls, rows: _Rows, n: int) -> "Resample":
         """The resample holding each of the n `rows` once."""
         return cls(rows, np.ones(n, dtype=np.intp))
 
@@ -475,8 +495,11 @@ class SortedBase:
         of sorted base atoms, holding the run's summed weight and the
         covariates of its first atom."""
         weights = self.cum_weights[hi] - self.cum_weights[lo]
-        return AtomicMeasure(self.base.covariates[self.order[lo]], Outcomes.real(levels),
-                             weights / weights.sum())
+        weights = weights / weights.sum()
+        # divided by the sum a second time, as the `AtomicMeasure` constructor
+        # would, which keeps draws bit for bit as they were
+        return AtomicMeasure.trusted(self.base.covariates[self.order[lo]],
+                                     Outcomes.trusted(REAL, levels), weights / weights.sum())
 
 
 def make_calibration_sample(labeled: LabeledSample, strategy: CalibrationStrategy,

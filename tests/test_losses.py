@@ -9,6 +9,7 @@ from rectiprior.exceptions import (
     CapabilityError,
     ConvergenceError,
     OutcomeTypeError,
+    ParameterError,
     RankDeficiencyError,
 )
 from rectiprior.losses import (
@@ -303,6 +304,24 @@ class TestSolvers:
         with pytest.raises(OutcomeTypeError):
             solve_weighted(WeightedProblem(np.zeros((2, 1)), Outcomes.classes([0, 1], 2),
                                            np.ones(2), MeanLoss()))
+
+    @pytest.mark.parametrize("covariates,weights", [
+        (np.zeros((3, 1)), [0.5, 0.0, 0.5]),
+        (np.zeros((3, 1)), [0.5, -0.1, 0.6]),
+        (np.zeros((2, 1)), [0.2, 0.3, 0.5]),
+        (np.zeros((3, 1)), [0.5, 0.5]),
+    ], ids=["zero-weight", "negative-weight", "covariate-rows", "weight-count"])
+    def test_problem_rejects_bad_weights_and_counts(self, covariates, weights):
+        with pytest.raises(ParameterError):
+            WeightedProblem(covariates, Outcomes.real([1.0, 2.0, 3.0]), np.array(weights), MeanLoss())
+
+    def test_mean_solve_is_np_average(self):
+        rng = np.random.default_rng(11)
+        for size in (1, 2, 7, 100, 4097):
+            y = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size)
+            w = rng.dirichlet(np.full(size, 0.3)) + 1e-300
+            got = MeanLoss().solve(None, Outcomes.real(y), w)
+            assert got.tobytes() == np.array([np.average(y, weights=w)]).tobytes()
 
 
     def test_mlp_non_convergence_raises(self):

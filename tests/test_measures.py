@@ -178,6 +178,34 @@ class TestInvariantsAndValidation:
         with pytest.raises(ParameterError):
             Outcomes.real([np.inf])
 
+    @pytest.mark.parametrize("p", [[[0.5, 0.5 + 2e-9]], [[1.1, -0.1]], [[0.7, 0.7, -0.4]]],
+                             ids=["sum", "negative", "negative-sum-one"])
+    def test_probs_reject_rows_off_the_simplex(self, p):
+        with pytest.raises(ParameterError):
+            Outcomes.probs(np.array(p))
+
+    @pytest.mark.parametrize("a,b", [
+        (Outcomes.real([1.0]), Outcomes.classes([0], 2)),
+        (Outcomes.classes([0, 1], 2), Outcomes.classes([2], 3)),
+        (Outcomes.classes([0, 1], 2), Outcomes.probs([[0.5, 0.5]])),
+    ], ids=["real-class", "class-counts", "class-probs"])
+    def test_concat_rejects_other_variants(self, a, b):
+        with pytest.raises(OutcomeTypeError):
+            Outcomes.concat(a, b)
+        with pytest.raises(OutcomeTypeError):
+            Outcomes.concat(b, a)
+
+    def test_containers_built_without_checks_are_read_only(self):
+        for a, b in ((Outcomes.real([1.0, 2.0]), Outcomes.real([3.0])),
+                     (Outcomes.classes([0, 1], 2), Outcomes.classes([1], 2)),
+                     (Outcomes.probs([[0.2, 0.8]]), Outcomes.probs([[1.0, 0.0]]))):
+            joined = Outcomes.concat(a, b)
+            assert np.array_equal(joined.values, Outcomes(a.kind, np.concatenate(
+                [a.values, b.values]), a.num_classes).values)
+            assert not joined.values.flags.writeable
+        base = AtomicMeasure(np.zeros((3, 1)), Outcomes.probs(np.full((3, 2), 0.5)))
+        assert not realize_class_labels(base, RngStream(0)).outcomes.values.flags.writeable
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ParameterError):
             AtomicMeasure(np.zeros((2, 1)), Outcomes.real([1.0, 2.0]),

@@ -51,6 +51,7 @@ from rectiprior.rectifiers import (
     Split,
     apply_rectifier,
     fit_rectifier,
+    make_calibration_sample,
 )
 
 
@@ -476,6 +477,48 @@ class TestRunPlan:
         run = run_posterior(labeled, base, loss, config)
         assert run.statuses == ("ok",) * 20
         assert taken == []
+
+    def test_split_identity_draws_take_one_labeled_subset(self, monkeypatch):
+        # the rectified base is fixed, so a draw takes only its inference
+        # half from the labeled sample; the calibration half is only counted
+        labeled, base = make_real_data()
+        taken = []
+        take = LabeledSample.take
+        monkeypatch.setattr(LabeledSample, "take",
+                            lambda sample, idx: taken.append(idx) or take(sample, idx))
+        config = PriorConfig(gamma=1.0, draws=10, strategy=Split(0.5), seed=3)
+        run = run_posterior(labeled, base, MeanLoss(), config)
+        assert run.statuses == ("ok",) * 10
+        assert len(taken) == 10
+        for b, idx in enumerate(taken):
+            perm = RngStream(3, (b, 0)).generator().permutation(labeled.n)
+            assert np.array_equal(idx, perm[labeled.n // 2:])
+
+    @pytest.mark.parametrize("scenario,loss,rectifier,strategy", [
+        *[("monotone-distortion", MeanLoss(), Identity(), strategy)
+          for strategy in (Fixed(), Split(0.5), Npb())],
+        ("heteroscedastic-linear", LinearRegressionLoss(), QuantileMap(), Npb()),
+    ])
+    def test_draws_match_validated_public_pieces(self, scenario, loss, rectifier, strategy):
+        # each draw rebuilt from public, validating steps on the same
+        # streams: the calibration sample as labeled rows, the rectifier fit
+        # on them and applied to the plain base, checked outcomes, weights
+        # and problem
+        labeled, base, _ = generate_scenario(ScenarioSpec(scenario, n=60, n_unlabeled=90, seed=3))
+        config = PriorConfig(gamma=1.0, draws=12, rectifier=rectifier, strategy=strategy, seed=21)
+        run = run_posterior(labeled, base, loss, config)
+        assert run.statuses == ("ok",) * config.draws
+        for b in range(config.draws):
+            rng = RngStream(config.seed, (b,))
+            calib, inference = make_calibration_sample(labeled, strategy, rng.child(0))
+            assert isinstance(calib, LabeledSample)
+            rect = apply_rectifier(fit_rectifier(rectifier, calib, base), base)
+            outcomes = Outcomes.concat(inference.outcomes, rect.outcomes)
+            weights = sample_dirichlet_weights(inference.n, rect.k, config.gamma * inference.n,
+                                               rng.child(2), rect.weights)
+            problem = WeightedProblem(np.vstack([inference.covariates, rect.covariates]), outcomes,
+                                      np.maximum(weights, np.finfo(float).tiny), loss)
+            assert run.samples[b].tobytes() == solve_weighted(problem).tobytes(), b
 
     @pytest.mark.parametrize("rectifier", [Identity(), ProbRecalib()])
     def test_separable_sample_start_fails_no_draw_that_zero_passes(self, rectifier, monkeypatch):

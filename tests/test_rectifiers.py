@@ -325,6 +325,35 @@ class TestStepLevels:
                 assert got[key].tobytes() == want[key].tobytes(), key
         assert empty_knots > 50
 
+    def test_isotonic_distinct_knots_match_per_draw_pooling(self):
+        # with no tied imputations every knot holds one row, and the fit
+        # takes its sums straight from the rows; zero true outcomes of
+        # either sign included
+        rng = np.random.default_rng(8)
+        for b in range(200):
+            n = int(rng.integers(1, 60))
+            y = rng.normal(size=n) * (rng.random(n) < 0.8)
+            y[rng.random(n) < 0.2] *= -1.0
+            labeled = real_sample(y, yhat=rng.permutation(n) + rng.normal(size=n) * 0.1)
+            rows = SortedRows.of(labeled)
+            assert rows.knots.size == n
+            counts = np.bincount(rng.integers(0, n, n), minlength=n)
+            got = Isotonic().fit_counts(Resample(rows, counts)).state
+            i = rows.imputed_order
+            want = pooled_afresh(labeled.imputed.values[i], labeled.outcomes.values[i], counts[i])
+            for key in want:
+                assert got[key].dtype == want[key].dtype
+                assert got[key].tobytes() == want[key].tobytes(), key
+
+    @pytest.mark.parametrize("spec", [QuantileMap(), Isotonic()])
+    def test_merged_levels_are_read_only(self, spec):
+        rng = np.random.default_rng(2)
+        calib = tied_calibration(rng, 30)
+        base = real_base(rng.normal(size=40) + 2.0, x=rng.normal(size=(40, 2)))
+        merged = apply_rectifier(fit_rectifier(spec, calib, base), SortedBase.of(base))
+        for values in (merged.outcomes.values, merged.weights, merged.covariates):
+            assert not values.flags.writeable
+
     def test_isotonic_from_counts_matches_the_resample_fit(self):
         # the pooled sums add each row once times its count instead of once
         # per copy, so they agree up to rounding
@@ -560,8 +589,10 @@ class TestProbRecalib:
         calib = LabeledSample(rng.normal(size=(100, 2)), Outcomes.classes(labels, 4),
                               Outcomes.probs(rng.dirichlet(np.ones(4), size=100)))
         r = fit_prob_recalib(calib, ProbRecalib())
-        out = apply_rectifier(r, base).outcomes.values
+        rect = apply_rectifier(r, base).outcomes
+        out = rect.values
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
+        assert rect.same_variant(base.outcomes) and not out.flags.writeable
 
 
 class TestApplyAndDiscrepancy:
