@@ -1,0 +1,163 @@
+"""Digests of posterior-run outputs, to check that a change keeps them byte-identical.
+
+    python3 tools/digest_sweep.py [--tree DIR]
+    python3 tools/digest_sweep.py --parent REV [--change REV]
+
+Without ``--parent`` the script prints one line, ``name digest``, per
+configuration: the sha256 of ``serialize_run`` for every run of the sweep
+below, then of each benchmark workload's output (``serialize_run``, or
+``serialize_bench`` for replicate-npb-qmap) at seeds 1 and 7919.  It imports
+the library and the benchmark from the checkout at ``--tree`` (this one by
+default).  A run that raises is digested by its error.
+
+With ``--parent``, both commits are exported with ``git archive``, as
+``tools/bench_pairs.py`` does, each is swept in its own process with its own
+library and benchmark code, and the script lists the configurations whose
+digests differ or that only one side has.  It exits with status 1 when there
+is any.
+
+The sweep runs ``run_posterior`` for 30 draws at gamma 1 over {Fixed,
+Split(0.5), Npb} x {Identity, QuantileMap, Isotonic, MomentShift,
+MomentAffine} with the mean and 0.9-quantile losses on the monotone-distortion
+and heteroscedastic-linear scenarios and OLS on heteroscedastic-linear, and
+{Identity, ProbRecalib} with 3-class logistic regression on
+categorical-miscalibrated; each at seeds {0, 1, 2} (scenario and run) and
+(n, k) in {(60, 90), (200, 5000)}: 486 runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import ROOT, SIDES, export  # noqa: E402
+
+DRAWS = 30
+GAMMA = 1.0
+SEEDS = (0, 1, 2)
+SIZES = ((60, 90), (200, 5000))
+WORKLOAD_SEEDS = (1, 7919)
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def sweep():
+    """(name, (scenario tag, n, k, seed), loss, rectifier, strategy) of
+    every sweep run, with the specs of the library on `sys.path`."""
+    from rectiprior.losses import LinearRegressionLoss, MeanLoss, MultinomialLogisticLoss, QuantileLoss
+    from rectiprior.rectifiers import (Fixed, Identity, Isotonic, MomentAffine, MomentShift, Npb,
+                                       ProbRecalib, QuantileMap, Split)
+
+    real = (Identity(), QuantileMap(), Isotonic(), MomentShift(), MomentAffine())
+    families = [(scenario, loss_name, loss, real)
+                for scenario in ("monotone-distortion", "heteroscedastic-linear")
+                for loss_name, loss in (("mean", MeanLoss()), ("quantile-0.9", QuantileLoss(0.9)))]
+    families += [("heteroscedastic-linear", "ols", LinearRegressionLoss(), real),
+                 ("categorical-miscalibrated", "logistic-3", MultinomialLogisticLoss(3),
+                  (Identity(), ProbRecalib()))]
+    for scenario, loss_name, loss, rectifiers in families:
+        for rectifier in rectifiers:
+            for strategy in (Fixed(), Split(0.5), Npb()):
+                for seed in SEEDS:
+                    for n, k in SIZES:
+                        name = (f"{scenario}/{loss_name}/{rectifier.tag}/{strategy.tag}"
+                                f"/seed={seed}/n={n},k={k}")
+                        yield name, (scenario, n, k, seed), loss, rectifier, strategy
+
+
+def digests(tree: Path):
+    """(name, digest) of every configuration, run with the library and the
+    benchmark of the checkout at `tree`."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    from rectiprior.harness import ScenarioSpec, generate_scenario
+    from rectiprior.posterior import PriorConfig, run_posterior, serialize_run
+    from workloads import WORKLOADS
+
+    for name, (scenario, n, k, seed), loss, rectifier, strategy in sweep():
+        try:
+            labeled, base, _ = generate_scenario(ScenarioSpec(scenario, n=n, n_unlabeled=k, seed=seed))
+            config = PriorConfig(gamma=GAMMA, draws=DRAWS, rectifier=rectifier, strategy=strategy,
+                                 seed=seed)
+            text = serialize_run(run_posterior(labeled, base, loss, config))
+        except Exception as exc:  # a run that fails is compared by its error
+            text = f"error {type(exc).__name__}: {exc}"
+        yield name, digest(text)
+    workdir = Path(tempfile.mkdtemp(prefix="digest_sweep-"))
+    try:
+        for workload in WORKLOADS.values():
+            for seed in WORKLOAD_SEEDS:
+                inputs = workload.setup(seed, workdir / f"{workload.name}-{seed}")
+                yield f"workload/{workload.name}/seed={seed}", workload.run(inputs).digest
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def parse(text: str) -> dict[str, str]:
+    """{name: digest} from the lines the script prints."""
+    return dict(line.split() for line in text.splitlines() if line.strip())
+
+
+def compare(parent: dict[str, str], change: dict[str, str]) -> list[str]:
+    """Names, in order, whose digests differ or that one side lacks."""
+    return sorted(name for name in parent.keys() | change.keys()
+                  if parent.get(name) != change.get(name))
+
+
+def report(parent: dict[str, str], change: dict[str, str]) -> list[str]:
+    differ = compare(parent, change)
+    names = parent.keys() | change.keys()
+    lines = [f"{len(names)} configurations: {len(names) - len(differ)} byte-identical, "
+             f"{len(differ)} differ"]
+    for name in differ:
+        got = [(side, values.get(name, "missing")[:12])
+               for side, values in zip(SIDES, (parent, change))]
+        lines.append(f"  {name}  " + "  ".join(f"{side} {d}" for side, d in got))
+    return lines
+
+
+def swept(tree: Path) -> subprocess.Popen:
+    """This script sweeping the checkout at `tree` in a process of its own."""
+    return subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--tree", str(tree)],
+                            stdout=subprocess.PIPE, text=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", type=Path, default=ROOT, help="checkout to sweep")
+    parser.add_argument("--parent", help="git revision of the parent")
+    parser.add_argument("--change", default="HEAD", help="git revision of the change")
+    args = parser.parse_args(argv)
+    # one BLAS thread, fixed before numpy loads here or in a sweep process,
+    # as perfbench/run.py does
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                    "1"))
+    if args.parent is None:
+        for name, value in digests(args.tree.resolve()):
+            print(name, value, flush=True)
+        return 0
+
+    workdir = Path(tempfile.mkdtemp(prefix="digest_sweep-"))
+    try:
+        runs = [swept(export(rev, workdir / side)) for side, rev in zip(SIDES, (args.parent, args.change))]
+        outputs = [run.communicate()[0] for run in runs]
+        if any(run.returncode for run in runs):
+            print("a sweep failed", file=sys.stderr)
+            return 1
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    parent, change = map(parse, outputs)
+    print("\n".join(report(parent, change)))
+    return 1 if compare(parent, change) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
