@@ -447,9 +447,7 @@ class WeightedProblem:
         already known to agree with the outcomes and to be positive,
         adopted without checks."""
         problem = object.__new__(cls)
-        for name, value in (("covariates", covariates), ("outcomes", outcomes),
-                            ("weights", weights), ("loss", loss)):
-            object.__setattr__(problem, name, value)
+        problem.__dict__.update(covariates=covariates, outcomes=outcomes, weights=weights, loss=loss)
         return problem
 
 

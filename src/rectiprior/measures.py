@@ -229,9 +229,7 @@ class AtomicMeasure:
         covariates.setflags(write=False)
         weights.setflags(write=False)
         measure = object.__new__(cls)
-        for name, value in (("covariates", covariates), ("outcomes", outcomes),
-                            ("weights", weights)):
-            object.__setattr__(measure, name, value)
+        measure.__dict__.update(covariates=covariates, outcomes=outcomes, weights=weights)
         return measure
 
     @property
