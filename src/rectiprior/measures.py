@@ -132,8 +132,8 @@ class Outcomes:
     @staticmethod
     def concat(a: "Outcomes", b: "Outcomes") -> "Outcomes":
         """a's outcomes, then b's.  Both were checked when they were built,
-        so only their variants are; probability rows are clipped and
-        renormalised again, as the constructor does."""
+        so only their variants are compared; probability rows are clipped
+        and renormalised again, as the constructor would."""
         if not a.same_variant(b):
             raise OutcomeTypeError("cannot concatenate outcomes of different variants")
         values = np.concatenate([a.values, b.values])

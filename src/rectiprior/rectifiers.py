@@ -170,7 +170,7 @@ class Isotonic(StepMap):
             sums = mass * rows.true_by_imputed[kept]
         else:
             mass = np.bincount(rows.knot_of, weights=counts)
-            kept = np.flatnonzero(mass)
+            kept = np.flatnonzero(mass > 0)
             mass = mass[kept]
             sums = np.bincount(rows.knot_of, weights=counts * rows.true_by_imputed)[kept]
         return FittedRectifier(self, {"knots": rows.knots[kept], "fitted": pava(sums / mass, mass)})
