@@ -8,7 +8,7 @@ threads would only contend on the interpreter lock for.
 
 Inputs are checked where they enter: the labeled sample, the base measure
 and the config by their constructors, and whether they fit together by
-`plan_run` (through the rectifier's `prepare`) and `solve_weighted`, whose
+`plan_run` (through `rows` and `target`) and `solve_weighted`, whose
 errors recur on every draw and so stop a run at its first.  A draw builds
 its concatenated outcomes, merged levels, recalibrated probabilities, class
 labels and weighted problem from arrays already checked, without checking
@@ -115,16 +115,16 @@ class RunPlan:
 
     A field left None is built by each draw from its own random stream.
     `rows` and `target` are the labeled rows and the base as the rectifier's
-    `prepare` gives them: a draw calibrates on a `Resample` of the rows
-    (only counted for a rectifier that ignores them), and rectifies the
-    target.  `rect` is the rectified base;
-    `covariates` are `_stack`ed for the inference rows and the base atoms;
-    `outcomes` concatenates the inference outcomes and the rectified base's.
-    When the target is a `SortedBase`, a draw rectifies it into the levels
-    of a step rectifier, and when `presorted`, a draw infers on all labeled
-    rows and presents them in `rows.true_order` to a loss that
-    `sorts_outcomes`.  `start` is the point a loss that `warm_starts` may
-    start every draw's solve from.
+    `rows` and `target` prepare them: a draw calibrates on a `Resample` of
+    the rows (only counted for a rectifier that ignores them), and rectifies
+    the target.  `rect` is the rectified base; `covariates` are `_stack`ed
+    for the inference rows and the base atoms; `outcomes` concatenates the
+    inference outcomes and the rectified base's.  When the target is a
+    merging `SortedBase`, a draw rectifies it into the levels of a step
+    rectifier, and when `presorted`, a draw infers on all labeled rows and
+    presents them in `rows.true_order` to a loss that `sorts_outcomes`.
+    `start` is the point a loss that `warm_starts` may start every draw's
+    solve from.
     """
 
     rect: AtomicMeasure | None = None
@@ -152,19 +152,18 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
              config: PriorConfig) -> RunPlan:
     """Build once what every draw of the run would otherwise rebuild.
 
-    The rectifier's `prepare` gives the labeled rows and the base as its
-    fits and applies take them (sorted, as moments or as recalibration
-    features).  The rectified base is fixed, fit on every row once, when
-    the rectifier ignores its calibration sample or the strategy calibrates
-    on the whole labeled sample every time.  Rectifiers never change
-    covariates, so the stacked covariates are fixed whenever the strategy
-    infers on the whole labeled sample and the number of rectified atoms is
-    fixed, and the concatenated outcomes are too when the rectified base is
-    fixed and no class labels are drawn from it.  Labeled rows are presented
-    sorted when every draw infers on all of them and the loss sorts them
-    anyway: the levels follow them already ascending, so the loss's stable
-    sort meets two sorted runs, and ties stay labeled rows first, then by
-    row index, as in row order.
+    The rectifier's `rows` and `target` give the labeled rows and the base as
+    its fits and applies take them (sorted, as moments or as features).  The
+    rectified base is fixed, fit on every row once, when the rectifier ignores
+    its calibration sample or the strategy calibrates on the whole labeled
+    sample every time.  Rectifiers never change covariates, so the stacked
+    covariates are fixed whenever the strategy infers on the whole labeled
+    sample and the number of rectified atoms is fixed, and the concatenated
+    outcomes are too when the rectified base is fixed and no class labels are
+    drawn from it.  Labeled rows are presented sorted when every draw infers on
+    all of them and the loss sorts them anyway: the levels follow them already
+    ascending, so the loss's stable sort meets two sorted runs, and ties stay
+    labeled rows first, then by row index, as in row order.
 
     A loss that `warm_starts` gets the labeled sample's own ERM, with equal
     weights, as every draw's start: a draw reweights the same rows and adds
@@ -174,12 +173,12 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
     """
     if config.gamma == 0.0 or base is None:
         return RunPlan()
-    rows, target = config.rectifier.prepare(labeled, base, loss)
-    merges = isinstance(target, SortedBase)
+    rows, target = config.rectifier.rows(labeled, base), config.rectifier.target(base, loss)
+    merges = isinstance(target, SortedBase) and target.merge
     presorted = merges and loss.sorts_outcomes and not config.strategy.random_inference
     rect = covariates = outcomes = None
     if not (config.strategy.random_calibration and config.rectifier.calibrated):
-        fitted = fit_rectifier(config.rectifier, Resample.once(rows, labeled.n), base)
+        fitted = fit_rectifier(config.rectifier, Resample.once(rows), base)
         rect = apply_rectifier(fitted, target)
     # a draw rectifying into the levels of its own fit has as many atoms as levels
     if not config.strategy.random_inference and (rect is not None or not merges):
@@ -205,8 +204,8 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     """One posterior bootstrap draw with stream id = draw_index.
 
     Steps: build the calibration/inference split, fit the rectifier and
-    rectify the base measure (into a step rectifier's levels when the plan
-    targets a `SortedBase`), realize class labels when the base carries
+    rectify the base measure (into a step rectifier's levels when the plan's
+    `SortedBase` merges), realize class labels when the base carries
     probability atoms, sample the conjugate Dirichlet weights (alpha =
     gamma * n, spread over the atoms by their weights), and solve the
     combined weighted problem.  Steps whose result `plan` (from `plan_run`)

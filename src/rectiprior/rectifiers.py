@@ -6,9 +6,10 @@ calibration sample; application targets the AI base measure.  Each
 rectifier family is a frozen spec dataclass whose `fit_counts` and `apply`
 methods are its one implementation: it fits on a `Resample` of the labeled
 rows its `rows` prepares once, and a calibration sample is the resample
-holding each of its rows once.  Each calibration strategy's `split` method
-builds its (calibration, inference) pair.  `RECTIFIERS` and `STRATEGIES`
-map every spec's text `tag` to its class.
+holding each of its rows once; it applies to the base as its `target`
+prepares it once.  Each calibration strategy's `split` method builds its
+(calibration, inference) pair.  `RECTIFIERS` and `STRATEGIES` map every
+spec's text `tag` to its class.
 """
 
 from __future__ import annotations
@@ -54,75 +55,65 @@ class RectifierSpec:
         their number."""
         return CountedRows(labeled.n)
 
-    def prepare(self, labeled: LabeledSample, base: AtomicMeasure, loss: LossSpec):
-        """What a posterior run builds once for every draw's fit and apply:
-        the labeled `rows`, and the base in the form `apply` takes, which
-        alone may depend on the loss."""
-        return self.rows(labeled, base), base
+    def target(self, base: AtomicMeasure, loss: LossSpec | None = None):
+        """The base in the one form `apply` reads, built once per posterior
+        run; only this may depend on the loss."""
+        return base
 
 
-class _RealMap(RectifierSpec):
-    """Rectifiers that send each real base outcome y to `_map(state, y)`."""
-
-    def apply(self, state, base: AtomicMeasure) -> AtomicMeasure:
-        return base.with_outcomes(Outcomes.real(self._map(state, _base_real_values(base))))
-
-
-class StepMap(_RealMap):
+class StepMap(RectifierSpec):
     """Real maps that are step functions of the base outcome, so that their
     rectified base has one outcome per step it reaches.
 
     `_steps(state)` gives the function as nondecreasing cut points, the value
     on each of the len(cuts) + 1 intervals they bound, and the `searchsorted`
-    side that puts an outcome into its interval; `_map` and `levels` both
-    read it.  `fit_counts` fits on a `Resample` of the `SortedRows`.
+    side that finds, among ascending outcomes, those before a cut.  A fit is
+    on a `Resample` of the `SortedRows`, and an apply on a `SortedBase`.
     """
-
-    def _map(self, state, y):
-        cuts, values, side = self._steps(state)
-        return values[np.searchsorted(cuts, y, side=side)]
 
     def rows(self, labeled, base):
         return SortedRows.of(labeled)
 
-    def prepare(self, labeled, base, loss):
-        """The sorted labeled rows, and the base sorted by outcome when the
-        loss reads no covariates, so that a draw rectifies the base straight
-        into its levels, with the atoms of each level merged into one.
+    def target(self, base, loss=None):
+        """The base sorted by outcome, its atoms of each level merged into
+        one when the loss reads no covariates.
 
         Such a loss sees the rectified base only through the mass it puts on
         each outcome, and by the aggregation property of the Dirichlet
         distribution the summed weights of merged atoms follow the law of
         the unmerged ones, so the posterior law is unchanged.
         """
-        return self.rows(labeled, base), base if loss.reads_covariates else SortedBase.of(base)
+        return SortedBase.of(base, merge=loss is not None and not loss.reads_covariates)
+
+    def apply(self, state, base: "SortedBase") -> AtomicMeasure:
+        if base.merge:
+            return base.merged(*self.levels(state, base.values))
+        return base.spread(*self._steps(state))
 
     def levels(self, state, sorted_y):
-        """The distinct values `_map` takes on the ascending outcomes
+        """The distinct values the map takes on the ascending outcomes
         `sorted_y`, in ascending order, and for each the bounds lo, hi of
-        the run `sorted_y[lo:hi]` it sends there.
-
-        Only cuts between intervals of different value bound a run.  An
-        outcome lies past cut j exactly when `_map`'s search counts it, so
-        the outcomes before cut j are found with the other side.
-        """
+        the run `sorted_y[lo:hi]` it sends there.  Only cuts between
+        intervals of different value bound a run."""
         cuts, values, side = self._steps(state)
         change = np.flatnonzero(values[1:] != values[:-1])
-        ends = np.searchsorted(sorted_y, cuts[change], side="left" if side == "right" else "right")
-        lo = np.concatenate([[0], ends])
-        hi = np.concatenate([ends, [sorted_y.size]])
+        ends = np.searchsorted(sorted_y, cuts[change], side=side)
+        lo, hi = np.concatenate([[0], ends]), np.concatenate([ends, [sorted_y.size]])
         reached = hi > lo
         return values[np.concatenate([[0], change + 1])][reached], lo[reached], hi[reached]
 
 
-class _MomentMap(_RealMap):
-    """Real maps whose fitted state is a few scalars, fit on `MomentRows`."""
+class _MomentMap(RectifierSpec):
+    """Real maps y -> `_map(state, y)` of a few scalars, fit on `MomentRows`."""
 
     def rows(self, labeled, base):
         return MomentRows.of(labeled, base)
 
     def load_state(self, arrays):
         return {key: float(a[0]) for key, a in arrays.items()}
+
+    def apply(self, state, base: AtomicMeasure) -> AtomicMeasure:
+        return base.with_outcomes(Outcomes.real(self._map(state, _base_real_values(base))))
 
 
 @dataclass(frozen=True)
@@ -151,7 +142,7 @@ class QuantileMap(StepMap):
         # the right-continuous empirical CDF of the imputed grid picks an
         # order statistic of the true grid; below the grid, the smallest
         grid_t = state["true_grid"]
-        return state["imputed_grid"], np.concatenate([grid_t[:1], grid_t]), "right"
+        return state["imputed_grid"], np.concatenate([grid_t[:1], grid_t]), "left"
 
 
 @dataclass(frozen=True)
@@ -177,7 +168,7 @@ class Isotonic(StepMap):
 
     def _steps(self, state):
         knots = state["knots"]
-        return 0.5 * (knots[:-1] + knots[1:]), state["fitted"], "left"
+        return 0.5 * (knots[:-1] + knots[1:]), state["fitted"], "right"
 
 
 @dataclass(frozen=True)
@@ -235,12 +226,10 @@ class ProbRecalib(RectifierSpec):
     def rows(self, labeled, base):
         return RecalibRows.of(labeled, self)
 
-    def prepare(self, labeled, base, loss):
-        return self.rows(labeled, base), RecalibBase.of(base, self.clamp)
+    def target(self, base, loss=None):
+        return RecalibBase.of(base, self.clamp)
 
     def apply(self, state, base):
-        if isinstance(base, AtomicMeasure):
-            base = RecalibBase.of(base, self.clamp)
         z = state["W"] @ base.feats.T + state["b"][:, None]
         # softmax rows lie on the simplex; they are clipped and renormalised
         # as `Outcomes.probs` would
@@ -451,9 +440,9 @@ class Resample:
     counts: np.ndarray
 
     @classmethod
-    def once(cls, rows: _Rows, n: int) -> "Resample":
-        """The resample holding each of the n `rows` once."""
-        return cls(rows, np.ones(n, dtype=np.intp))
+    def once(cls, rows: _Rows) -> "Resample":
+        """The resample holding each of the `rows` once."""
+        return cls(rows, np.ones(rows.n, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -477,18 +466,28 @@ class SortedBase:
     """A real base measure's outcomes in ascending order (`values`), the
     order that sorts them and the weights summed in that order, from 0.  A
     step rectifier applied to it gives its levels on the base, each merged
-    into one atom."""
+    into one atom, when `merge`, and otherwise the base with every atom
+    rectified."""
 
     base: AtomicMeasure
     order: np.ndarray
     values: np.ndarray
     cum_weights: np.ndarray
+    merge: bool
 
     @classmethod
-    def of(cls, base: AtomicMeasure) -> "SortedBase":
+    def of(cls, base: AtomicMeasure, merge: bool) -> "SortedBase":
         y = _base_real_values(base)
         order = np.argsort(y, kind="stable")
-        return cls(base, order, y[order], np.concatenate([[0.0], np.cumsum(base.weights[order])]))
+        return cls(base, order, y[order], np.append(0.0, np.cumsum(base.weights[order])), merge)
+
+    def spread(self, cuts, values, side) -> AtomicMeasure:
+        """The base with outcome values[j] on each atom between cuts j - 1
+        and j, the sorted atoms before each cut found on `side`."""
+        y = np.empty(self.values.size)
+        ends = np.searchsorted(self.values, cuts, side=side)
+        y[self.order] = np.repeat(values, np.diff(ends, prepend=0, append=y.size))
+        return self.base.with_outcomes(Outcomes.trusted(REAL, y))
 
     def merged(self, levels, lo, hi) -> AtomicMeasure:
         """One atom of outcome levels[j] for each run self.values[lo[j]:hi[j]]
@@ -510,7 +509,7 @@ def make_calibration_sample(labeled: LabeledSample, strategy: CalibrationStrateg
     Fixed reuses the full labeled sample for both roles; Split partitions it
     at random; Npb calibrates on a nonparametric bootstrap resample while
     keeping the full sample for inference.  Given `rows`, the labeled rows as
-    a rectifier's `prepare` gives them, Split and Npb draw the same rows from
+    a rectifier's `rows` prepares them, Split and Npb draw the same rows from
     the same stream and give the calibration sample as a `Resample` of them.
     """
     return strategy.split(labeled, rng, rows)
@@ -588,16 +587,16 @@ def fit_prob_recalib(calib: LabeledSample, spec: ProbRecalib) -> FittedRectifier
 def apply_rectifier(r: FittedRectifier,
                     base: AtomicMeasure | SortedBase | RecalibBase) -> AtomicMeasure:
     """Transform every atom's outcome; covariates and weights are unchanged.
-    The base may also be given as the rectifier's `prepare` gives it.
+    The base may also be given as the rectifier's `target` gives it.
 
-    A step rectifier applied to a `SortedBase` gives instead its atoms of
-    equal rectified outcome merged: one atom per level, holding the summed
-    weight of its atoms and the covariates of the one with the lowest base
-    outcome.  That is the outcomes `np.unique` finds in the atom-by-atom
+    A step rectifier applied to a merging `SortedBase` gives instead its
+    atoms of equal rectified outcome merged: one atom per level, holding the
+    summed weight of its atoms and the covariates of the one with the lowest
+    base outcome.  That is the outcomes `np.unique` finds in the atom-by-atom
     result and their weights up to rounding, without mapping each atom.
     """
-    if isinstance(base, SortedBase):
-        return base.merged(*r.spec.levels(r.state, base.values))
+    if isinstance(base, AtomicMeasure):
+        base = r.spec.target(base)
     return r.spec.apply(r.state, base)
 
 
@@ -607,7 +606,7 @@ def fit_rectifier(spec: RectifierSpec, calib: LabeledSample | Resample,
     `rows` prepares; a calibration sample is the resample holding each of
     its rows, prepared against `base`, once."""
     if isinstance(calib, LabeledSample):
-        calib = Resample.once(spec.rows(calib, base), calib.n)
+        calib = Resample.once(spec.rows(calib, base))
     return spec.fit_counts(calib)
 
 

@@ -423,7 +423,7 @@ class TestRunPlan:
         base = AtomicMeasure(np.zeros((k, 1)), Outcomes.real(1.0 + 0.5 * rng.normal(size=k)))
         config = PriorConfig(gamma=gamma, draws=draws, rectifier=rectifier, strategy=strategy,
                              seed=8)
-        assert isinstance(plan_run(labeled, base, loss, config).target, SortedBase)
+        assert plan_run(labeled, base, loss, config).target.merge
         engine = run_posterior(labeled, base, loss, config).samples[:, 0]
         gen = np.random.default_rng(8)
         covs = np.vstack([labeled.covariates, base.covariates])
@@ -446,7 +446,7 @@ class TestRunPlan:
 
         def merges(loss, rectifier, strategy, base=base):
             config = PriorConfig(gamma=1.0, rectifier=rectifier, strategy=strategy)
-            return isinstance(plan_run(labeled, base, loss, config).target, SortedBase)
+            return getattr(plan_run(labeled, base, loss, config).target, "merge", False)
 
         assert merges(MeanLoss(), QuantileMap(), Npb())
         assert merges(QuantileLoss(0.9), Isotonic(), Split(0.5))
@@ -455,11 +455,14 @@ class TestRunPlan:
         assert not merges(LinearRegressionLoss(), QuantileMap(), Npb())
         assert not merges(MeanLoss(), MomentShift(), Npb())
         assert merges(MeanLoss(), QuantileMap(), Fixed())
-        # a step map fits on its sorted rows whatever the loss; only its
-        # target depends on whether the loss reads covariates
+        # a step map fits on its sorted rows and applies to the sorted base
+        # whatever the loss; only whether the target merges depends on
+        # whether the loss reads covariates
         plan = plan_run(labeled, base, LinearRegressionLoss(),
                         PriorConfig(gamma=1.0, rectifier=QuantileMap(), strategy=Npb()))
-        assert isinstance(plan.rows, SortedRows) and plan.target is base
+        assert isinstance(plan.rows, SortedRows)
+        assert isinstance(plan.target, SortedBase) and not plan.target.merge
+        assert plan.target.base is base
 
     @pytest.mark.parametrize("rectifier,loss", [(QuantileMap(), LinearRegressionLoss()),
                                                 (MomentShift(), MeanLoss())],

@@ -106,6 +106,18 @@ def calibrated_cases(rng, n=40, k=30):
             (MomentAffine(), real, base), (ProbRecalib(), classes, probs)]
 
 
+def step_map_by_definition(spec, state, y):
+    """A step map's outcomes at y as its family defines them: the value on
+    the interval of the cut points that holds each y."""
+    if isinstance(spec, QuantileMap):
+        grid_t = state["true_grid"]
+        cuts, values, side = state["imputed_grid"], np.concatenate([grid_t[:1], grid_t]), "right"
+    else:
+        knots = state["knots"]
+        cuts, values, side = 0.5 * (knots[:-1] + knots[1:]), state["fitted"], "left"
+    return values[np.searchsorted(cuts, y, side=side)]
+
+
 def pooled_afresh(x, y, counts):
     """Isotonic state for rows sorted by imputed value x, pooling the rows of
     each distinct x weighted by their counts."""
@@ -185,7 +197,7 @@ class TestCalibrationStrategies:
                     continue
                 want = fit_by_definition(spec, labeled, base)
                 rows = spec.rows(labeled, base)
-                assert_same_state(spec.fit_counts(Resample.once(rows, n)).state, want)
+                assert_same_state(spec.fit_counts(Resample.once(rows)).state, want)
                 assert_same_state(fit_rectifier(spec, labeled, base).state, want)
 
     def test_split_partition(self):
@@ -253,9 +265,9 @@ class TestStepLevels:
             base = real_base(base_y, x=rng.normal(size=(base_y.size, 2)),
                              weights=rng.dirichlet(np.ones(base_y.size)))
             fitted = fit_rectifier(spec, calib, base)
-            mapped = apply_rectifier(fitted, base).outcomes.values
+            mapped = step_map_by_definition(spec, fitted.state, base_y)
             want, inverse = np.unique(mapped, return_inverse=True)
-            sorted_base = SortedBase.of(base)
+            sorted_base = SortedBase.of(base, merge=True)
             values, lo, hi = spec.levels(fitted.state, sorted_base.values)
             assert np.array_equal(values, want)
             assert np.array_equal(hi - lo, np.bincount(inverse))
@@ -267,6 +279,32 @@ class TestStepLevels:
             atoms = sorted_base.order[lo]
             assert np.array_equal(mapped[atoms], want)
             assert np.array_equal(merged.covariates, base.covariates[atoms])
+
+    @pytest.mark.parametrize("spec", [QuantileMap(), Isotonic()])
+    def test_apply_is_the_searchsorted_definition(self, spec):
+        # to a plain base and to an unmerged sorted target, byte for byte:
+        # tied base outcomes, zeros of either sign in the base and in the
+        # fitted values, and base outcomes below and above the grid
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(1, 25))
+            y = rng.integers(-1, 3, n) * 0.5
+            y[y == 0] *= rng.choice([-1.0, 1.0], size=int(np.sum(y == 0)))
+            yhat = rng.integers(-2, 4, n) * 1.0
+            yhat[yhat == 0] *= rng.choice([-1.0, 1.0], size=int(np.sum(yhat == 0)))
+            calib = real_sample(y, yhat=yhat)
+            grid = np.concatenate([yhat, 0.5 * (yhat[:, None] + yhat[None, :]).ravel(),
+                                   [-5.0, -0.0, 0.0, 9.0]])
+            base_y = rng.choice(grid, size=int(rng.integers(1, 60)))
+            base = real_base(base_y, x=rng.normal(size=(base_y.size, 2)),
+                             weights=rng.dirichlet(np.ones(base_y.size)))
+            fitted = fit_rectifier(spec, calib, base)
+            want = step_map_by_definition(spec, fitted.state, base_y)
+            for target in (base, SortedBase.of(base, merge=False)):
+                got = apply_rectifier(fitted, target)
+                assert got.outcomes.values.tobytes() == want.tobytes()
+                assert got.covariates is base.covariates and got.weights is base.weights
+                assert not got.outcomes.values.flags.writeable
 
     @pytest.mark.parametrize("strategy", [Npb(), Split(0.3)])
     def test_sorted_rows_resample_counts_the_rows_drawn(self, strategy):
@@ -350,7 +388,7 @@ class TestStepLevels:
         rng = np.random.default_rng(2)
         calib = tied_calibration(rng, 30)
         base = real_base(rng.normal(size=40) + 2.0, x=rng.normal(size=(40, 2)))
-        merged = apply_rectifier(fit_rectifier(spec, calib, base), SortedBase.of(base))
+        merged = apply_rectifier(fit_rectifier(spec, calib, base), SortedBase.of(base, merge=True))
         for values in (merged.outcomes.values, merged.weights, merged.covariates):
             assert not values.flags.writeable
 
@@ -574,7 +612,7 @@ class TestProbRecalib:
                              Outcomes.probs(rng.dirichlet(np.ones(3), size=40)))
         spec = ProbRecalib()
         fitted = fit_rectifier(spec, labeled, base)
-        rows, target = spec.prepare(labeled, base, MultinomialLogisticLoss(3))
+        rows, target = spec.rows(labeled, base), spec.target(base, MultinomialLogisticLoss(3))
         assert rows.n == labeled.n
         want = apply_rectifier(fitted, base)
         got = apply_rectifier(fitted, target)
