@@ -246,6 +246,14 @@ class AtomicMeasure:
         return measure
 
 
+def check_covariate_count(labeled: LabeledSample, base: AtomicMeasure) -> None:
+    """Raise `ParameterError` unless the base atoms carry as many covariates
+    as the labeled rows, for a step that reads the two together."""
+    if base.covariates.shape[1] != labeled.d_x:
+        raise ParameterError(f"the base measure has {base.covariates.shape[1]} covariates "
+                             f"and the labeled sample {labeled.d_x}")
+
+
 def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
                              base_weights=None) -> np.ndarray:
     """Draw (w_1..w_n, wt_1..wt_k) ~ Dirichlet(1,...,1, alpha*v_1,...,alpha*v_k)

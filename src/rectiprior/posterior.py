@@ -32,6 +32,7 @@ from .measures import (
     LabeledSample,
     Outcomes,
     RngStream,
+    check_covariate_count,
     realize_class_labels,
     sample_dirichlet_weights,
     sample_uniform_dirichlet,
@@ -173,6 +174,8 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
     """
     if config.gamma == 0.0 or base is None:
         return RunPlan()
+    if loss.reads_covariates:
+        check_covariate_count(labeled, base)
     rows, target = config.rectifier.rows(labeled, base), config.rectifier.target(base, loss)
     merges = isinstance(target, SortedBase) and target.merge
     presorted = merges and loss.sorts_outcomes and not config.strategy.random_inference

@@ -31,6 +31,7 @@ from .measures import (
     LabeledSample,
     Outcomes,
     RngStream,
+    check_covariate_count,
     on_simplex,
     resample_nonparametric_bootstrap,
 )
@@ -187,6 +188,10 @@ class MomentShift(_MomentMap):
 class MomentAffine(_MomentMap):
     tag = "moment-affine"
 
+    def rows(self, labeled, base):
+        check_covariate_count(labeled, base)
+        return super().rows(labeled, base)
+
     def fit_counts(self, calib):
         """Solves the stacked 1 + d_x moment equations in least squares.
         When the system is rank deficient (base imputations effectively
@@ -224,7 +229,12 @@ class ProbRecalib(RectifierSpec):
         return FittedRectifier(self, {"W": coef[:, 1:], "b": coef[:, 0]})
 
     def rows(self, labeled, base):
-        return RecalibRows.of(labeled, self)
+        rows = RecalibRows.of(labeled, self)
+        if base is not None:
+            check_covariate_count(labeled, base)
+            if base.outcomes.num_classes != rows.num_classes:
+                raise OutcomeTypeError("base outcomes are not probabilities over the label classes")
+        return rows
 
     def target(self, base, loss=None):
         return RecalibBase.of(base, self.clamp)

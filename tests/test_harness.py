@@ -496,6 +496,61 @@ class TestCli:
                     "--n-unlabeled", "30", "--loss", "quantile"]) == 2
         assert capsys.readouterr().err.startswith("data error:")
 
+    @staticmethod
+    def _mismatched_files(tmp_path):
+        """Labeled files of one and of two covariates and base files of the
+        other count, and a 3-class labeled file with a 2-class base."""
+        rng = np.random.default_rng(0)
+        paths = {}
+        for d_lab, d_base in ((1, 2), (2, 1)):
+            y = rng.normal(size=40)
+            paths[f"lab{d_lab}"] = str(tmp_path / f"lab{d_lab}.csv")
+            write_labeled_csv(paths[f"lab{d_lab}"], LabeledSample(
+                rng.normal(size=(40, d_lab)), Outcomes.real(y), Outcomes.real(y + rng.normal(size=40))))
+            paths[f"base{d_base}"] = str(tmp_path / f"base{d_base}.csv")
+            write_base_csv(paths[f"base{d_base}"], AtomicMeasure(rng.normal(size=(50, d_base)),
+                                                                 Outcomes.real(rng.normal(size=50))))
+        paths["lab3c"] = str(tmp_path / "lab3c.csv")
+        write_labeled_csv(paths["lab3c"], LabeledSample(
+            rng.normal(size=(40, 2)), Outcomes.classes(rng.integers(0, 3, 40), 3),
+            Outcomes.probs(rng.dirichlet(np.ones(3), size=40))))
+        paths["base2c"] = str(tmp_path / "base2c.csv")
+        write_base_csv(paths["base2c"], AtomicMeasure(rng.normal(size=(50, 2)),
+                                                      Outcomes.probs(rng.dirichlet(np.ones(2), 50))))
+        return paths
+
+    def test_mismatched_labeled_and_base_files_are_2(self, tmp_path, capsys):
+        # files that disagree in covariate or class count are a data error
+        # wherever the covariates or classes are read, not a traceback
+        f = self._mismatched_files(tmp_path)
+        real = ["--labeled", f["lab1"], "--base", f["base2"], "--draws", "10"]
+        cases = [["infer", "--loss", "ols", "--rectifier", r, *real]
+                 for r in ("identity", "moment-shift", "moment-affine", "quantile-map", "isotonic")]
+        # diagnose stacks the covariates whatever the loss
+        cases += [["diagnose", "--loss", loss, "--rectifier", r, *real]
+                  for loss, r in (("ols", "identity"), ("mean", "quantile-map"))]
+        cases += [["infer", "--loss", loss, "--rectifier", "moment-affine", "--labeled", lab,
+                   "--base", base, "--draws", "10"]
+                  for loss in ("mean", "quantile")
+                  for lab, base in ((f["lab1"], f["base2"]), (f["lab2"], f["base1"]))]
+        classes = ["--loss", "logistic", "--classes", "3", "--rectifier", "prob-recalib",
+                   "--labeled", f["lab3c"], "--base", f["base2c"], "--draws", "10"]
+        cases += [["infer", *classes], ["diagnose", *classes]]
+        for argv in cases:
+            assert cli(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and err.count("\n") == 1, argv
+
+    def test_covariate_free_runs_on_mismatched_files_still_run(self, tmp_path, capsys):
+        f = self._mismatched_files(tmp_path)
+        for loss in ("mean", "quantile"):
+            for rectifier in ("identity", "quantile-map"):
+                for lab, base in ((f["lab1"], f["base2"]), (f["lab2"], f["base1"])):
+                    argv = ["infer", "--loss", loss, "--rectifier", rectifier, "--labeled", lab,
+                            "--base", base, "--draws", "10"]
+                    assert cli(argv) == 0, argv
+        assert "posterior draws: 10" in capsys.readouterr().out
+
     def test_config_flag_without_path_is_1(self, capsys):
         assert cli(["infer", "--config"]) == 1
         assert capsys.readouterr().err.startswith("error:")
