@@ -4,6 +4,8 @@ digests, checked on made-up digests without starting any process."""
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import digest_sweep  # noqa: E402
 
@@ -34,4 +36,17 @@ def test_differing_and_one_sided_configurations_are_listed():
 
 def test_sweep_names_every_configuration_once():
     names = [name for name, *_ in digest_sweep.sweep()]
-    assert len(names) == len(set(names)) == 486
+    assert len(names) == len(set(names)) == 594
+    assert sum(name.startswith("tied/") for name in names) == 108
+
+
+def test_tied_runs_pool_tied_imputations():
+    # the rounded imputations of a tied run have fewer distinct values than
+    # labeled rows, so its isotonic fits take the pooling branch, and its
+    # base outcomes tie too
+    from rectiprior.rectifiers import SortedRows
+
+    tied = [data for _, data, *_ in digest_sweep.sweep() if data[-1]]
+    labeled, base = digest_sweep.sweep_inputs(*tied[0])
+    assert SortedRows.of(labeled).knots.size < labeled.n
+    assert np.unique(base.outcomes.values).size < base.k

@@ -22,7 +22,11 @@ MomentAffine} with the mean and 0.9-quantile losses on the monotone-distortion
 and heteroscedastic-linear scenarios and OLS on heteroscedastic-linear, and
 {Identity, ProbRecalib} with 3-class logistic regression on
 categorical-miscalibrated; each at seeds {0, 1, 2} (scenario and run) and
-(n, k) in {(60, 90), (200, 5000)}: 486 runs.
+(n, k) in {(60, 90), (200, 5000)}: 486 runs.  The ``tied/`` runs repeat
+{QuantileMap, Isotonic} x {Fixed, Split(0.5), Npb} with the mean,
+0.9-quantile and OLS losses on heteroscedastic-linear, with the labeled
+imputations and the base outcomes rounded to one decimal so that they tie
+(signed zeros included): 108 more runs, 594 in all.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ GAMMA = 1.0
 SEEDS = (0, 1, 2)
 SIZES = ((60, 90), (200, 5000))
 WORKLOAD_SEEDS = (1, 7919)
+TIE_DECIMALS = 1
 
 
 def digest(text: str) -> str:
@@ -51,7 +56,7 @@ def digest(text: str) -> str:
 
 
 def sweep():
-    """(name, (scenario tag, n, k, seed), loss, rectifier, strategy) of
+    """(name, (scenario tag, n, k, seed, tied), loss, rectifier, strategy) of
     every sweep run, with the specs of the library on `sys.path`."""
     from rectiprior.losses import LinearRegressionLoss, MeanLoss, MultinomialLogisticLoss, QuantileLoss
     from rectiprior.rectifiers import (Fixed, Identity, Isotonic, MomentAffine, MomentShift, Npb,
@@ -64,27 +69,45 @@ def sweep():
     families += [("heteroscedastic-linear", "ols", LinearRegressionLoss(), real),
                  ("categorical-miscalibrated", "logistic-3", MultinomialLogisticLoss(3),
                   (Identity(), ProbRecalib()))]
-    for scenario, loss_name, loss, rectifiers in families:
+    families = [(False, *family) for family in families]
+    families += [(True, "heteroscedastic-linear", loss_name, loss, (QuantileMap(), Isotonic()))
+                 for loss_name, loss in (("mean", MeanLoss()), ("quantile-0.9", QuantileLoss(0.9)),
+                                         ("ols", LinearRegressionLoss()))]
+    for tied, scenario, loss_name, loss, rectifiers in families:
         for rectifier in rectifiers:
             for strategy in (Fixed(), Split(0.5), Npb()):
                 for seed in SEEDS:
                     for n, k in SIZES:
-                        name = (f"{scenario}/{loss_name}/{rectifier.tag}/{strategy.tag}"
-                                f"/seed={seed}/n={n},k={k}")
-                        yield name, (scenario, n, k, seed), loss, rectifier, strategy
+                        name = (f"{'tied/' if tied else ''}{scenario}/{loss_name}/{rectifier.tag}"
+                                f"/{strategy.tag}/seed={seed}/n={n},k={k}")
+                        yield name, (scenario, n, k, seed, tied), loss, rectifier, strategy
+
+
+def sweep_inputs(scenario: str, n: int, k: int, seed: int, tied: bool):
+    """The labeled sample and base measure of a sweep run, with the library
+    on `sys.path`; tied runs round the imputations and base outcomes."""
+    from rectiprior.harness import ScenarioSpec, generate_scenario
+    from rectiprior.measures import AtomicMeasure, LabeledSample, Outcomes
+
+    labeled, base, _ = generate_scenario(ScenarioSpec(scenario, n=n, n_unlabeled=k, seed=seed))
+    if tied:
+        labeled = LabeledSample(labeled.covariates, labeled.outcomes,
+                                Outcomes.real(labeled.imputed.values.round(TIE_DECIMALS)))
+        base = AtomicMeasure(base.covariates, Outcomes.real(base.outcomes.values.round(TIE_DECIMALS)),
+                             base.weights)
+    return labeled, base
 
 
 def digests(tree: Path):
     """(name, digest) of every configuration, run with the library and the
     benchmark of the checkout at `tree`."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    from rectiprior.harness import ScenarioSpec, generate_scenario
     from rectiprior.posterior import PriorConfig, run_posterior, serialize_run
     from workloads import WORKLOADS
 
-    for name, (scenario, n, k, seed), loss, rectifier, strategy in sweep():
+    for name, (scenario, n, k, seed, tied), loss, rectifier, strategy in sweep():
         try:
-            labeled, base, _ = generate_scenario(ScenarioSpec(scenario, n=n, n_unlabeled=k, seed=seed))
+            labeled, base = sweep_inputs(scenario, n, k, seed, tied)
             config = PriorConfig(gamma=GAMMA, draws=DRAWS, rectifier=rectifier, strategy=strategy,
                                  seed=seed)
             text = serialize_run(run_posterior(labeled, base, loss, config))
