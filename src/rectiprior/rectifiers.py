@@ -86,7 +86,7 @@ class StepMap(RectifierSpec):
         """
         return SortedBase.of(base, merge=loss is not None and not loss.reads_covariates)
 
-    def apply(self, state, base: "SortedBase") -> AtomicMeasure:
+    def apply(self, state, base: SortedBase) -> AtomicMeasure:
         if base.merge:
             return base.merged(*self.levels(state, base.values))
         return base.spread(*self._steps(state))
