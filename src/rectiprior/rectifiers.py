@@ -474,22 +474,23 @@ class RecalibBase:
 @dataclass(frozen=True)
 class SortedBase:
     """A real base measure's outcomes in ascending order (`values`), the
-    order that sorts them and the weights summed in that order, from 0.  A
-    step rectifier applied to it gives its levels on the base, each merged
-    into one atom, when `merge`, and otherwise the base with every atom
-    rectified."""
+    order that sorts them and, when `merge`, the weights summed in that
+    order, from 0.  A step rectifier applied to it gives its levels on the
+    base, each merged into one atom, when `merge`, and otherwise the base
+    with every atom rectified."""
 
     base: AtomicMeasure
     order: np.ndarray
     values: np.ndarray
-    cum_weights: np.ndarray
+    cum_weights: np.ndarray | None
     merge: bool
 
     @classmethod
     def of(cls, base: AtomicMeasure, merge: bool) -> "SortedBase":
         y = _base_real_values(base)
         order = np.argsort(y, kind="stable")
-        return cls(base, order, y[order], np.append(0.0, np.cumsum(base.weights[order])), merge)
+        cum_weights = np.append(0.0, np.cumsum(base.weights[order])) if merge else None
+        return cls(base, order, y[order], cum_weights, merge)
 
     def spread(self, cuts, values, side) -> AtomicMeasure:
         """The base with outcome values[j] on each atom between cuts j - 1
