@@ -24,7 +24,8 @@ from .losses import (
     QuantileLoss,
     is_classification,
 )
-from .measures import CLASS, PROBS, REAL, AtomicMeasure, LabeledSample, Outcomes, RngStream
+from .measures import (CLASS, PROBS, REAL, AtomicMeasure, LabeledSample, Outcomes, RngStream,
+                       inverse_cdf_labels)
 from .posterior import PriorConfig, run_posterior
 from .rectifiers import CalibrationStrategy, Identity, Npb, RectifierSpec
 
@@ -141,9 +142,7 @@ def generate_scenario(spec: ScenarioSpec, loss: LossSpec | None = None):
         x = gen.standard_normal((count, 2))
         z = x @ a.T
         p = softmax(z, axis=1)
-        u = gen.random(count)
-        labels = (p.cumsum(axis=1) < u[:, None]).sum(axis=1)
-        labels = np.minimum(labels, spec.num_classes - 1)
+        labels = inverse_cdf_labels(p, gen.random(count))
         zh = z / temp
         zh[:, 0] += spec.miscal
         return x, labels, softmax(zh, axis=1)

@@ -31,7 +31,7 @@ from .exceptions import (
     ParameterError,
     RankDeficiencyError,
 )
-from .measures import CLASS, REAL, Outcomes
+from .measures import CLASS, REAL, Outcomes, Trusted
 
 
 def _with_intercept(X):
@@ -424,7 +424,7 @@ def finite_diff_check(spec: LossSpec, theta, x, y_scalar, h: float = 1e-5) -> fl
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WeightedProblem:
+class WeightedProblem(Trusted):
     """Atoms' covariates, outcomes and strictly positive weights, and the
     loss to minimise over them; the constructor checks that they agree."""
 
@@ -440,15 +440,6 @@ class WeightedProblem:
             raise ParameterError("atom, outcome, and weight counts must agree")
         if np.any(self.weights <= 0):
             raise ParameterError("weights must be strictly positive")
-
-    @classmethod
-    def trusted(cls, covariates, outcomes: Outcomes, weights, loss: LossSpec) -> "WeightedProblem":
-        """The problem on a 2-D float covariate matrix and float weights
-        already known to agree with the outcomes and to be positive,
-        adopted without checks."""
-        problem = object.__new__(cls)
-        problem.__dict__.update(covariates=covariates, outcomes=outcomes, weights=weights, loss=loss)
-        return problem
 
 
 def weighted_quantile(values, weights, tau) -> float:

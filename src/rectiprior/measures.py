@@ -4,16 +4,15 @@ Outcomes are stored in vectorized form: one container holds all outcomes of a
 sample or measure, tagged with a variant kind ("real", "class", or "probs").
 All types are immutable after construction and safe to share across workers.
 
-Validation happens where data enters: the `Outcomes`, `LabeledSample` and
-`AtomicMeasure` constructors check what they are given.  `Outcomes.trusted`
-and `AtomicMeasure.trusted` adopt arrays built from parts already checked
-without checking them again, as `Outcomes.concat` and `realize_class_labels`
-do; the arrays they hold are read-only all the same.
+Validation happens where data enters: the constructors of `Outcomes`,
+`LabeledSample`, `AtomicMeasure` and `losses.WeightedProblem` check what
+they are given.  A container derived from parts already checked (by `take`,
+`concat`, `with_outcomes`, a rectifier's apply or a posterior draw) is
+adopted by `Trusted.trusted` without checks; its arrays are read-only still.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,23 @@ class RngStream:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.path))
 
 
-class Outcomes:
+class Trusted:
+    """Base of the frozen dataclasses whose constructor checks their fields."""
+
+    @classmethod
+    def trusted(cls, **fields):
+        """The instance holding `fields` as the constructor would leave them,
+        adopted without checks or a copy; their arrays are made read-only."""
+        for value in fields.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        instance = object.__new__(cls)
+        instance.__dict__.update(fields)
+        return instance
+
+
+@dataclass(frozen=True, eq=False)
+class Outcomes(Trusted):
     """Immutable column of outcomes, all of one variant.
 
     kind == "real":  values is a float vector.
@@ -56,10 +71,12 @@ class Outcomes:
     kind == "probs": values is a (n, C) matrix of rows on the simplex.
     """
 
-    __slots__ = ("kind", "values", "num_classes")
+    kind: str
+    values: np.ndarray
+    num_classes: int | None = None
 
-    def __init__(self, kind, values, num_classes=None):
-        values = np.asarray(values)
+    def __post_init__(self):
+        kind, values, num_classes = self.kind, np.asarray(self.values), self.num_classes
         if not np.all(np.isfinite(values)):
             raise ParameterError("outcomes contain NaN or Inf")
         if kind == REAL:
@@ -87,26 +104,9 @@ class Outcomes:
             num_classes = values.shape[1]
         else:
             raise ParameterError(f"unknown outcome kind {kind!r}")
-        self._set(kind, values, num_classes)
-
-    def _set(self, kind, values, num_classes):
         values.setflags(write=False)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "num_classes", num_classes)
-
-    @classmethod
-    def trusted(cls, kind, values, num_classes=None) -> "Outcomes":
-        """Outcomes of `kind` from an array that already holds them as the
-        constructor would (class labels as int64, probability rows as
-        `on_simplex` gives them, and `num_classes` for both), adopted
-        without checks or a copy."""
-        outcomes = object.__new__(cls)
-        outcomes._set(kind, values, num_classes)
-        return outcomes
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Outcomes is immutable")
 
     @classmethod
     def real(cls, values) -> "Outcomes":
@@ -123,8 +123,13 @@ class Outcomes:
     def __len__(self):
         return self.values.shape[0]
 
+    def _adopt(self, values) -> "Outcomes":
+        """`values` of this variant, probability rows renormalised as the constructor would."""
+        return Outcomes.trusted(kind=self.kind, num_classes=self.num_classes,
+                                values=on_simplex(values) if self.kind == PROBS else values)
+
     def take(self, idx) -> "Outcomes":
-        return Outcomes(self.kind, self.values[idx], self.num_classes)
+        return self._adopt(self.values[idx])
 
     def same_variant(self, other: "Outcomes") -> bool:
         return self.kind == other.kind and self.num_classes == other.num_classes
@@ -132,13 +137,10 @@ class Outcomes:
     @staticmethod
     def concat(a: "Outcomes", b: "Outcomes") -> "Outcomes":
         """a's outcomes, then b's.  Both were checked when they were built,
-        so only their variants are compared; probability rows are clipped
-        and renormalised again, as the constructor would."""
+        so only their variants are compared."""
         if not a.same_variant(b):
             raise OutcomeTypeError("cannot concatenate outcomes of different variants")
-        values = np.concatenate([a.values, b.values])
-        return Outcomes.trusted(a.kind, on_simplex(values) if a.kind == PROBS else values,
-                                a.num_classes)
+        return a._adopt(np.concatenate([a.values, b.values]))
 
 
 def on_simplex(p) -> np.ndarray:
@@ -160,7 +162,7 @@ def _check_covariates(covariates, n):
 
 
 @dataclass(frozen=True)
-class LabeledSample:
+class LabeledSample(Trusted):
     """A labeled data sample, optionally carrying paired imputed outcomes.
 
     The `imputed` column holds the AI imputation for each labeled row (a real
@@ -189,12 +191,16 @@ class LabeledSample:
         return self.covariates.shape[1]
 
     def take(self, idx) -> "LabeledSample":
-        imputed = None if self.imputed is None else self.imputed.take(idx)
-        return LabeledSample(self.covariates[idx], self.outcomes.take(idx), imputed)
+        """The rows `idx` names, refused only when there are none."""
+        outcomes = self.outcomes.take(idx)
+        if len(outcomes) < 1:
+            raise ParameterError("labeled sample must be nonempty")
+        return LabeledSample.trusted(covariates=self.covariates[idx], outcomes=outcomes,
+                                     imputed=None if self.imputed is None else self.imputed.take(idx))
 
 
 @dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(Trusted):
     """Finite weighted set of (covariate, outcome) atoms with weights on the simplex."""
 
     covariates: np.ndarray
@@ -221,17 +227,6 @@ class AtomicMeasure:
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 
-    @classmethod
-    def trusted(cls, covariates, outcomes: Outcomes, weights) -> "AtomicMeasure":
-        """The measure on arrays that already hold it as the constructor
-        would: 2-D float covariates, one row per outcome, and weights on the
-        simplex.  They are adopted, made read-only, without checks or a copy."""
-        covariates.setflags(write=False)
-        weights.setflags(write=False)
-        measure = object.__new__(cls)
-        measure.__dict__.update(covariates=covariates, outcomes=outcomes, weights=weights)
-        return measure
-
     @property
     def k(self) -> int:
         return len(self.outcomes)
@@ -241,9 +236,8 @@ class AtomicMeasure:
         as validated, not copied or renormalized."""
         if len(outcomes) != self.k:
             raise ParameterError("replacement outcomes must match atom count")
-        measure = copy.copy(self)
-        object.__setattr__(measure, "outcomes", outcomes)
-        return measure
+        return AtomicMeasure.trusted(covariates=self.covariates, outcomes=outcomes,
+                                     weights=self.weights)
 
 
 def check_covariate_count(labeled: LabeledSample, base: AtomicMeasure) -> None:
@@ -252,6 +246,15 @@ def check_covariate_count(labeled: LabeledSample, base: AtomicMeasure) -> None:
     if base.covariates.shape[1] != labeled.d_x:
         raise ParameterError(f"the base measure has {base.covariates.shape[1]} covariates "
                              f"and the labeled sample {labeled.d_x}")
+
+
+def stack_covariates(labeled: LabeledSample, base: AtomicMeasure, loss) -> np.ndarray:
+    """The labeled rows' covariates over the base atoms' (checked to be as many) for a
+    loss that `reads_covariates`; an empty block of as many rows for one that does not."""
+    if not loss.reads_covariates:
+        return np.empty((labeled.n + base.k, 0))
+    check_covariate_count(labeled, base)
+    return np.vstack([labeled.covariates, base.covariates])
 
 
 def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
@@ -314,7 +317,12 @@ def realize_class_labels(base: AtomicMeasure, rng: RngStream) -> AtomicMeasure:
     if base.outcomes.kind != PROBS:
         raise OutcomeTypeError("realize_class_labels requires probability outcomes")
     p = base.outcomes.values
-    u = rng.generator().random(base.k)
+    labels = inverse_cdf_labels(p, rng.generator().random(base.k))
+    return base.with_outcomes(Outcomes.trusted(kind=CLASS, values=labels, num_classes=p.shape[1]))
+
+
+def inverse_cdf_labels(p, u) -> np.ndarray:
+    """For each row of class probabilities p, the first class whose cumulative
+    probability reaches the uniform variate u (the last one at most)."""
     labels = (p.cumsum(axis=1) < u[:, None]).sum(axis=1)
-    labels = np.minimum(labels, p.shape[1] - 1, dtype=np.int64)
-    return base.with_outcomes(Outcomes.trusted(CLASS, labels, p.shape[1]))
+    return np.minimum(labels, p.shape[1] - 1, dtype=np.int64)

@@ -8,11 +8,11 @@ threads would only contend on the interpreter lock for.
 
 Inputs are checked where they enter: the labeled sample, the base measure
 and the config by their constructors, and whether they fit together by
-`plan_run` (through `rows` and `target`) and `solve_weighted`, whose
-errors recur on every draw and so stop a run at its first.  A draw builds
-its concatenated outcomes, merged levels, recalibrated probabilities, class
-labels and weighted problem from arrays already checked, without checking
-them again; the public constructors of those containers still check.
+`plan_run` (covariate and class counts, `rows` and `target`) and
+`solve_weighted`, whose errors recur on every draw and so stop a run at its
+first.  Nothing is checked again inside a draw: its inference rows,
+rectified base, class labels, outcomes and weighted problem are adopted by
+`trusted`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from io import StringIO
 import numpy as np
 
 from .diagnostics import labeled_erm
-from .exceptions import ConvergenceError, ParameterError, RankDeficiencyError, RectipriorError
+from .exceptions import (ConvergenceError, OutcomeTypeError, ParameterError, RankDeficiencyError,
+                         RectipriorError)
 from .losses import LossSpec, WeightedProblem, is_classification, predict_probs, solve_weighted
 from .measures import (
     PROBS,
@@ -36,6 +37,7 @@ from .measures import (
     realize_class_labels,
     sample_dirichlet_weights,
     sample_uniform_dirichlet,
+    stack_covariates,
 )
 from .rectifiers import (
     RECTIFIERS,
@@ -118,8 +120,8 @@ class RunPlan:
     `rows` and `target` are the labeled rows and the base as the rectifier's
     `rows` and `target` prepare them: a draw calibrates on a `Resample` of
     the rows (only counted for a rectifier that ignores them), and rectifies
-    the target.  `rect` is the rectified base; `covariates` are `_stack`ed
-    for the inference rows and the base atoms; `outcomes` concatenates the
+    the target.  `rect` is the rectified base; `covariates` stacks the
+    inference rows' and the base atoms'; `outcomes` concatenates the
     inference outcomes and the rectified base's.  When the target is a
     merging `SortedBase`, a draw rectifies it into the levels of a step
     rectifier, and when `presorted`, a draw infers on all labeled rows and
@@ -139,14 +141,6 @@ class RunPlan:
 
 def _realizes_labels(rect: AtomicMeasure, loss: LossSpec) -> bool:
     return rect.outcomes.kind == PROBS and is_classification(loss)
-
-
-def _stack(inference: LabeledSample, rect: AtomicMeasure, loss: LossSpec) -> np.ndarray:
-    """The inference rows' covariates over the rectified atoms', for a loss
-    that reads them; an empty block of as many rows for one that does not."""
-    if loss.reads_covariates:
-        return np.vstack([inference.covariates, rect.covariates])
-    return np.empty((inference.n + rect.k, 0))
 
 
 def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
@@ -176,6 +170,10 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
         return RunPlan()
     if loss.reads_covariates:
         check_covariate_count(labeled, base)
+    classes = labeled.outcomes.num_classes
+    if _realizes_labels(base, loss) and classes not in (None, base.outcomes.num_classes):
+        raise OutcomeTypeError(f"the base measure has {base.outcomes.num_classes} classes "
+                               f"and the labeled sample {classes}")
     rows, target = config.rectifier.rows(labeled, base), config.rectifier.target(base, loss)
     merges = isinstance(target, SortedBase) and target.merge
     presorted = merges and loss.sorts_outcomes and not config.strategy.random_inference
@@ -185,7 +183,7 @@ def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
         rect = apply_rectifier(fitted, target)
     # a draw rectifying into the levels of its own fit has as many atoms as levels
     if not config.strategy.random_inference and (rect is not None or not merges):
-        covariates = _stack(labeled, base if rect is None else rect, loss)
+        covariates = stack_covariates(labeled, base if rect is None else rect, loss)
         if rect is not None and not _realizes_labels(rect, loss):
             outcomes = Outcomes.concat(rows.sorted_true if presorted else labeled.outcomes,
                                        rect.outcomes)
@@ -217,7 +215,8 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     rng = RngStream(config.seed, (draw_index,))
     if config.gamma == 0.0:
         w = sample_uniform_dirichlet(labeled.n, rng.child(2))
-        return solve_weighted(WeightedProblem.trusted(labeled.covariates, labeled.outcomes, w, loss))
+        return solve_weighted(WeightedProblem.trusted(
+            covariates=labeled.covariates, outcomes=labeled.outcomes, weights=w, loss=loss))
 
     if base is None:
         raise ParameterError("base measure required when gamma > 0")
@@ -236,7 +235,7 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
         labeled_outs = plan.rows.sorted_true if plan.presorted else inference.outcomes
         outs = Outcomes.concat(labeled_outs, rect.outcomes)
     if covs is None:
-        covs = _stack(inference, rect, loss)
+        covs = stack_covariates(inference, rect, loss)
     n, k = inference.n, rect.k
 
     weights = sample_dirichlet_weights(n, k, config.gamma * n, rng.child(2), rect.weights)
@@ -244,7 +243,8 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     weights = np.maximum(weights, TINY)
     if plan.presorted:
         weights[:n] = weights[plan.rows.true_order]
-    return solve_weighted(WeightedProblem.trusted(covs, outs, weights, loss), plan.start)
+    return solve_weighted(WeightedProblem.trusted(covariates=covs, outcomes=outs, weights=weights,
+                                                  loss=loss), plan.start)
 
 
 def run_posterior(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,

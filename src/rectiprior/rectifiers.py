@@ -114,7 +114,8 @@ class _MomentMap(RectifierSpec):
         return {key: float(a[0]) for key, a in arrays.items()}
 
     def apply(self, state, base: AtomicMeasure) -> AtomicMeasure:
-        return base.with_outcomes(Outcomes.real(self._map(state, _base_real_values(base))))
+        return base.with_outcomes(
+            Outcomes.trusted(kind=REAL, values=self._map(state, _base_real_values(base))))
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ class ProbRecalib(RectifierSpec):
         # softmax rows lie on the simplex; they are clipped and renormalised
         # as `Outcomes.probs` would
         p = on_simplex(_log_sum_exp(z)[1].T)
-        return base.base.with_outcomes(Outcomes.trusted(PROBS, p, p.shape[1]))
+        return base.base.with_outcomes(Outcomes.trusted(kind=PROBS, values=p, num_classes=p.shape[1]))
 
     def load_state(self, arrays):
         b = arrays["b"]
@@ -359,7 +360,7 @@ class SortedRows(_Rows):
         x = imputed[i]
         first = np.concatenate([[True], x[1:] != x[:-1]])
         # + 0.0 makes -0.0 the 0.0 that a knot's pooled sum of it would be
-        return cls(t, i, Outcomes.real(true[t]), x, x[first], np.cumsum(first) - 1, true[i] + 0.0)
+        return cls(t, i, labeled.outcomes.take(t), x, x[first], np.cumsum(first) - 1, true[i] + 0.0)
 
     @property
     def n(self) -> int:
@@ -498,7 +499,7 @@ class SortedBase:
         y = np.empty(self.values.size)
         ends = np.searchsorted(self.values, cuts, side=side)
         y[self.order] = np.repeat(values, np.diff(ends, prepend=0, append=y.size))
-        return self.base.with_outcomes(Outcomes.trusted(REAL, y))
+        return self.base.with_outcomes(Outcomes.trusted(kind=REAL, values=y))
 
     def merged(self, levels, lo, hi) -> AtomicMeasure:
         """One atom of outcome levels[j] for each run self.values[lo[j]:hi[j]]
@@ -508,8 +509,9 @@ class SortedBase:
         weights = weights / weights.sum()
         # divided by the sum a second time, as the `AtomicMeasure` constructor
         # would, which keeps draws bit for bit as they were
-        return AtomicMeasure.trusted(self.base.covariates[self.order[lo]],
-                                     Outcomes.trusted(REAL, levels), weights / weights.sum())
+        return AtomicMeasure.trusted(covariates=self.base.covariates[self.order[lo]],
+                                     outcomes=Outcomes.trusted(kind=REAL, values=levels),
+                                     weights=weights / weights.sum())
 
 
 def make_calibration_sample(labeled: LabeledSample, strategy: CalibrationStrategy,

@@ -526,20 +526,21 @@ class TestCli:
         real = ["--labeled", f["lab1"], "--base", f["base2"], "--draws", "10"]
         cases = [["infer", "--loss", "ols", "--rectifier", r, *real]
                  for r in ("identity", "moment-shift", "moment-affine", "quantile-map", "isotonic")]
-        # diagnose stacks the covariates whatever the loss
-        cases += [["diagnose", "--loss", loss, "--rectifier", r, *real]
-                  for loss, r in (("ols", "identity"), ("mean", "quantile-map"))]
+        cases += [["diagnose", "--loss", "ols", "--rectifier", "identity", *real]]
         cases += [["infer", "--loss", loss, "--rectifier", "moment-affine", "--labeled", lab,
                    "--base", base, "--draws", "10"]
                   for loss in ("mean", "quantile")
                   for lab, base in ((f["lab1"], f["base2"]), (f["lab2"], f["base1"]))]
-        classes = ["--loss", "logistic", "--classes", "3", "--rectifier", "prob-recalib",
+        classes = ["--loss", "logistic", "--classes", "3",
                    "--labeled", f["lab3c"], "--base", f["base2c"], "--draws", "10"]
-        cases += [["infer", *classes], ["diagnose", *classes]]
+        cases += [[command, *classes, "--rectifier", r] for command, r in
+                  (("infer", "prob-recalib"), ("diagnose", "prob-recalib"), ("infer", "identity"))]
         for argv in cases:
             assert cli(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("data error:") and err.count("\n") == 1, argv
+        # the run stops before its draws, naming both class counts
+        assert "the base measure has 2 classes and the labeled sample 3" in err, err
 
     def test_covariate_free_runs_on_mismatched_files_still_run(self, tmp_path, capsys):
         f = self._mismatched_files(tmp_path)
@@ -550,6 +551,10 @@ class TestCli:
                             "--base", base, "--draws", "10"]
                     assert cli(argv) == 0, argv
         assert "posterior draws: 10" in capsys.readouterr().out
+        # diagnose stacks covariates only for a loss that reads them, as infer does
+        assert cli(["diagnose", "--loss", "mean", "--rectifier", "quantile-map",
+                    "--labeled", f["lab1"], "--base", f["base2"]]) == 0
+        assert "mixed ERM theta" in capsys.readouterr().out
 
     def test_config_flag_without_path_is_1(self, capsys):
         assert cli(["infer", "--config"]) == 1

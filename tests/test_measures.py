@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectiprior import posterior
 from rectiprior.exceptions import OutcomeTypeError, ParameterError
+from rectiprior.losses import LinearRegressionLoss
 from rectiprior.measures import (
     AtomicMeasure,
     LabeledSample,
@@ -15,6 +17,7 @@ from rectiprior.measures import (
     sample_dirichlet_weights,
     sample_uniform_dirichlet,
 )
+from rectiprior.rectifiers import Npb, QuantileMap
 
 
 def _batch_weights(n, k, alpha, draws, seed=0):
@@ -195,16 +198,48 @@ class TestInvariantsAndValidation:
         with pytest.raises(OutcomeTypeError):
             Outcomes.concat(b, a)
 
-    def test_containers_built_without_checks_are_read_only(self):
+    def test_containers_built_without_checks_are_read_only(self, monkeypatch):
+        idx = [1, 0, 1]
         for a, b in ((Outcomes.real([1.0, 2.0]), Outcomes.real([3.0])),
                      (Outcomes.classes([0, 1], 2), Outcomes.classes([1], 2)),
-                     (Outcomes.probs([[0.2, 0.8]]), Outcomes.probs([[1.0, 0.0]]))):
+                     (Outcomes.probs([[0.2, 0.8]]), Outcomes.probs([[1.0, 0.0]])),
+                     # rows that each renormalisation moves by an ulp
+                     (Outcomes.probs([[0.199, 0.572, 1 - 0.199 - 0.572]]),
+                      Outcomes.probs([[0.2, 0.3, 0.5]]))):
             joined = Outcomes.concat(a, b)
             assert np.array_equal(joined.values, Outcomes(a.kind, np.concatenate(
                 [a.values, b.values]), a.num_classes).values)
             assert not joined.values.flags.writeable
+            # `take` of each kind, and of a sample holding it, is what the
+            # checked constructors would build from the rows taken
+            checked = Outcomes(a.kind, joined.values[idx], a.num_classes)
+            sample = LabeledSample(np.arange(len(joined))[:, None], joined, joined)
+            rows = sample.take(idx)
+            for got in (joined.take(idx), rows.outcomes, rows.imputed):
+                assert got.kind == a.kind and got.num_classes == a.num_classes
+                assert np.array_equal(got.values, checked.values)
+                assert not got.values.flags.writeable
+            assert np.array_equal(rows.covariates, LabeledSample(
+                sample.covariates[idx], checked).covariates)
+            assert not rows.covariates.flags.writeable
+            with pytest.raises(ParameterError, match="labeled sample must be nonempty"):
+                sample.take([])
         base = AtomicMeasure(np.zeros((3, 1)), Outcomes.probs(np.full((3, 2), 0.5)))
         assert not realize_class_labels(base, RngStream(0)).outcomes.values.flags.writeable
+        # the weighted problem a posterior draw solves, with and without the base
+        problems = []
+        monkeypatch.setattr(posterior, "solve_weighted",
+                            lambda problem, start=None: problems.append(problem) or np.zeros(2))
+        labeled = LabeledSample(np.arange(4.0)[:, None], Outcomes.real([0.0, 1.0, 3.0, 2.0]),
+                                Outcomes.real([0.5, 1.0, 2.5, 3.0]))
+        base = AtomicMeasure(np.ones((3, 1)), Outcomes.real([1.0, 2.0, 3.0]))
+        for gamma in (0.0, 1.0):
+            config = posterior.PriorConfig(gamma=gamma, strategy=Npb(), rectifier=QuantileMap())
+            posterior.posterior_draw(labeled, base, LinearRegressionLoss(), config, 0)
+        assert len(problems) == 2
+        for problem in problems:
+            for array in (problem.covariates, problem.outcomes.values, problem.weights):
+                assert not array.flags.writeable
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ParameterError):
