@@ -3,18 +3,22 @@
     python3 tools/digest_sweep.py [--tree DIR]
     python3 tools/digest_sweep.py --parent REV [--change REV]
 
-Without ``--parent`` the script prints one line, ``name digest``, per
-configuration: the sha256 of ``serialize_run`` for every run of the sweep
+Without ``--parent`` the script prints one line, ``name digest samples...``,
+per configuration: the sha256 of ``serialize_run`` for every run of the sweep
 below, then of each benchmark workload's output (``serialize_run``, or
-``serialize_bench`` for replicate-npb-qmap) at seeds 1 and 7919.  It imports
-the library and the benchmark from the checkout at ``--tree`` (this one by
-default).  A run that raises is digested by its error.
+``serialize_bench`` for replicate-npb-qmap) at seeds 1 and 7919, followed by
+the run's posterior samples (the records' point estimates for
+``serialize_bench``).  It imports the library and the benchmark from the
+checkout at ``--tree`` (this one by default).  A run that raises is digested
+by its error and has no samples.
 
 With ``--parent``, both commits are exported with ``git archive``, as
 ``tools/bench_pairs.py`` does, each is swept in its own process with its own
 library and benchmark code, and the script lists the configurations whose
-digests differ or that only one side has.  It exits with status 1 when there
-is any.
+digests differ or that only one side has, each with the largest absolute
+difference between the two sides' samples (``n/a`` when they are not of one
+size), and then the largest of those.  It exits with status 1 when there is
+any.
 
 The sweep runs ``run_posterior`` for 30 draws at gamma 1 over {Fixed,
 Split(0.5), Npb} x {Identity, QuantileMap, Isotonic, MomentShift,
@@ -39,6 +43,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, SIDES, export  # noqa: E402
@@ -98,9 +104,19 @@ def sweep_inputs(scenario: str, n: int, k: int, seed: int, tied: bool):
     return labeled, base
 
 
+def samples(output) -> tuple[float, ...]:
+    """The posterior samples of a run or a workload's output, or the point
+    estimates of a bench table's records."""
+    if isinstance(output, tuple):  # infer-csv-bigbase: (run, labeled, base)
+        output = output[0]
+    if isinstance(output, list):
+        return tuple(float(record.point) for record in output)
+    return tuple(output.samples.ravel().tolist())
+
+
 def digests(tree: Path):
-    """(name, digest) of every configuration, run with the library and the
-    benchmark of the checkout at `tree`."""
+    """(name, digest, samples) of every configuration, run with the library
+    and the benchmark of the checkout at `tree`."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     from rectiprior.posterior import PriorConfig, run_posterior, serialize_run
     from workloads import WORKLOADS
@@ -110,40 +126,62 @@ def digests(tree: Path):
             labeled, base = sweep_inputs(scenario, n, k, seed, tied)
             config = PriorConfig(gamma=GAMMA, draws=DRAWS, rectifier=rectifier, strategy=strategy,
                                  seed=seed)
-            text = serialize_run(run_posterior(labeled, base, loss, config))
+            run = run_posterior(labeled, base, loss, config)
+            text, values = serialize_run(run), samples(run)
         except Exception as exc:  # a run that fails is compared by its error
-            text = f"error {type(exc).__name__}: {exc}"
-        yield name, digest(text)
+            text, values = f"error {type(exc).__name__}: {exc}", ()
+        yield name, digest(text), values
     workdir = Path(tempfile.mkdtemp(prefix="digest_sweep-"))
     try:
         for workload in WORKLOADS.values():
             for seed in WORKLOAD_SEEDS:
-                inputs = workload.setup(seed, workdir / f"{workload.name}-{seed}")
-                yield f"workload/{workload.name}/seed={seed}", workload.run(inputs).digest
+                result = workload.run(workload.setup(seed, workdir / f"{workload.name}-{seed}"))
+                yield f"workload/{workload.name}/seed={seed}", result.digest, samples(result.output)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def parse(text: str) -> dict[str, str]:
-    """{name: digest} from the lines the script prints."""
-    return dict(line.split() for line in text.splitlines() if line.strip())
+Sweep = dict[str, tuple[str, tuple[float, ...]]]
 
 
-def compare(parent: dict[str, str], change: dict[str, str]) -> list[str]:
+def parse(text: str) -> Sweep:
+    """{name: (digest, samples)} from the lines the script prints."""
+    runs = {}
+    for line in text.splitlines():
+        if line.strip():
+            name, value, *values = line.split()
+            runs[name] = value, tuple(map(float, values))
+    return runs
+
+
+def compare(parent: Sweep, change: Sweep) -> list[str]:
     """Names, in order, whose digests differ or that one side lacks."""
     return sorted(name for name in parent.keys() | change.keys()
                   if parent.get(name) != change.get(name))
 
 
-def report(parent: dict[str, str], change: dict[str, str]) -> list[str]:
+def difference(a: tuple[float, ...] | None, b: tuple[float, ...] | None) -> float | None:
+    """The largest absolute difference between two samples of one nonzero
+    size, else None."""
+    if not a or not b or len(a) != len(b):
+        return None
+    return float(np.max(np.abs(np.subtract(a, b))))
+
+
+def report(parent: Sweep, change: Sweep) -> list[str]:
     differ = compare(parent, change)
     names = parent.keys() | change.keys()
     lines = [f"{len(names)} configurations: {len(names) - len(differ)} byte-identical, "
              f"{len(differ)} differ"]
+    sizes = []
     for name in differ:
-        got = [(side, values.get(name, "missing")[:12])
-               for side, values in zip(SIDES, (parent, change))]
-        lines.append(f"  {name}  " + "  ".join(f"{side} {d}" for side, d in got))
+        got = [values.get(name, ("missing", None)) for values in (parent, change)]
+        size = difference(*(values for _, values in got))
+        sizes += [] if size is None else [size]
+        lines.append(f"  {name}  " + "  ".join(f"{side} {d[:12]}" for side, (d, _) in zip(SIDES, got))
+                     + f"  max|diff| {'n/a' if size is None else f'{size:.3g}'}")
+    if sizes:
+        lines.append(f"largest sample difference: {max(sizes):.3g}")
     return lines
 
 
@@ -164,8 +202,8 @@ def main(argv=None) -> int:
     os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
                                     "1"))
     if args.parent is None:
-        for name, value in digests(args.tree.resolve()):
-            print(name, value, flush=True)
+        for name, value, values in digests(args.tree.resolve()):
+            print(name, value, *map(repr, values), flush=True)
         return 0
 
     workdir = Path(tempfile.mkdtemp(prefix="digest_sweep-"))
