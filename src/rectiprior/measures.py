@@ -2,13 +2,16 @@
 
 Outcomes are stored in vectorized form: one container holds all outcomes of a
 sample or measure, tagged with a variant kind ("real", "class", or "probs").
-All types are immutable after construction and safe to share across workers.
+All types are immutable after construction.
 
 Validation happens where data enters: the constructors of `Outcomes`,
 `LabeledSample`, `AtomicMeasure` and `losses.WeightedProblem` check what
 they are given.  A container derived from parts already checked (by `take`,
 `concat`, `with_outcomes`, a rectifier's apply or a posterior draw) is
 adopted by `Trusted.trusted` without checks; its arrays are read-only still.
+Points on a simplex are normalised once, where they are made: probability
+rows by the `Outcomes` constructor, Dirichlet weights by their sampler.
+Whatever is derived from them keeps them bit for bit.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ class RngStream:
     """Deterministic, splittable random stream keyed by (seed, path).
 
     Identical (seed, path) pairs always yield identical generators.  Child
-    streams are statistically independent, which makes per-draw results
-    independent of thread scheduling.
+    streams are statistically independent, so each draw's result depends on
+    its own path alone.
     """
 
     seed: int
@@ -68,7 +71,8 @@ class Outcomes(Trusted):
 
     kind == "real":  values is a float vector.
     kind == "class": values is an int vector of labels in [0, num_classes).
-    kind == "probs": values is a (n, C) matrix of rows on the simplex.
+    kind == "probs": values is a (n, C) matrix of rows on the simplex; the
+    constructor clips them at zero and divides them by their sums.
     """
 
     kind: str
@@ -100,7 +104,8 @@ class Outcomes(Trusted):
             sums = values.sum(axis=1)
             if np.any(np.abs(sums - 1.0) > _PROB_TOL):
                 raise ParameterError("class probabilities must sum to 1 within 1e-9")
-            values = on_simplex(values)
+            values = np.clip(values, 0.0, None)
+            values /= values.sum(axis=1, keepdims=True)
             num_classes = values.shape[1]
         else:
             raise ParameterError(f"unknown outcome kind {kind!r}")
@@ -123,13 +128,9 @@ class Outcomes(Trusted):
     def __len__(self):
         return self.values.shape[0]
 
-    def _adopt(self, values) -> "Outcomes":
-        """`values` of this variant, probability rows renormalised as the constructor would."""
-        return Outcomes.trusted(kind=self.kind, num_classes=self.num_classes,
-                                values=on_simplex(values) if self.kind == PROBS else values)
-
     def take(self, idx) -> "Outcomes":
-        return self._adopt(self.values[idx])
+        return Outcomes.trusted(kind=self.kind, values=self.values[idx],
+                                num_classes=self.num_classes)
 
     def same_variant(self, other: "Outcomes") -> bool:
         return self.kind == other.kind and self.num_classes == other.num_classes
@@ -140,13 +141,8 @@ class Outcomes(Trusted):
         so only their variants are compared."""
         if not a.same_variant(b):
             raise OutcomeTypeError("cannot concatenate outcomes of different variants")
-        return a._adopt(np.concatenate([a.values, b.values]))
-
-
-def on_simplex(p) -> np.ndarray:
-    """Rows of p clipped at zero and divided by their sums."""
-    p = np.clip(p, 0.0, None)
-    return p / p.sum(axis=1, keepdims=True)
+        return Outcomes.trusted(kind=a.kind, values=np.concatenate([a.values, b.values]),
+                                num_classes=a.num_classes)
 
 
 def _check_covariates(covariates, n):
@@ -264,10 +260,10 @@ def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
 
     v is `base_weights`, the base measure's atom weights (uniform 1/k when
     omitted).  Sampling goes through independent Gamma variates normalized
-    jointly; shapes below 1 are handled exactly by the generator.
-    Underflowed zeros are clamped to the smallest positive float and the
-    vector renormalized, so downstream objectives never see a degenerate
-    zero weight.
+    jointly; shapes below 1 are handled exactly by the generator.  The
+    normalized weights are clamped once, below at the smallest positive
+    normal float, so no weight is zero or subnormal, whether its variate
+    underflowed or its quotient did; the clamp is not renormalized away.
     """
     if n < 1 or k < 1:
         raise ParameterError("n and k must be positive")
@@ -288,16 +284,16 @@ def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
         base_g = gen.standard_gamma(alpha / k, size=k)
     else:
         base_g = gen.standard_gamma(alpha * w)
-    g = np.maximum(np.concatenate([labeled_g, base_g]), TINY)
-    return g / g.sum()
+    g = np.concatenate([labeled_g, base_g])
+    return np.maximum(g / g.sum(), TINY)
 
 
 def sample_uniform_dirichlet(n: int, rng: RngStream) -> np.ndarray:
     """Flat Dirichlet(1,...,1) over n rows; the Bayesian bootstrap weight law."""
     if n < 1:
         raise ParameterError("n must be positive")
-    g = np.maximum(rng.generator().standard_exponential(n), TINY)
-    return g / g.sum()
+    g = rng.generator().standard_exponential(n)
+    return np.maximum(g / g.sum(), TINY)
 
 
 def empirical_measure(sample: LabeledSample) -> AtomicMeasure:

@@ -28,7 +28,6 @@ from .exceptions import (ConvergenceError, OutcomeTypeError, ParameterError, Ran
 from .losses import LossSpec, WeightedProblem, is_classification, predict_probs, solve_weighted
 from .measures import (
     PROBS,
-    TINY,
     AtomicMeasure,
     LabeledSample,
     Outcomes,
@@ -239,8 +238,6 @@ def posterior_draw(labeled: LabeledSample, base: AtomicMeasure | None, loss: Los
     n, k = inference.n, rect.k
 
     weights = sample_dirichlet_weights(n, k, config.gamma * n, rng.child(2), rect.weights)
-    # clamped once, after the normalisation, which can leave quotients subnormal
-    weights = np.maximum(weights, TINY)
     if plan.presorted:
         weights[:n] = weights[plan.rows.true_order]
     return solve_weighted(WeightedProblem.trusted(covariates=covs, outcomes=outs, weights=weights,

@@ -32,7 +32,6 @@ from .measures import (
     Outcomes,
     RngStream,
     check_covariate_count,
-    on_simplex,
     resample_nonparametric_bootstrap,
 )
 
@@ -242,9 +241,9 @@ class ProbRecalib(RectifierSpec):
 
     def apply(self, state, base):
         z = state["W"] @ base.feats.T + state["b"][:, None]
-        # softmax rows lie on the simplex; they are clipped and renormalised
-        # as `Outcomes.probs` would
-        p = on_simplex(_log_sum_exp(z)[1].T)
+        # softmax rows are nonnegative and sum to 1 up to rounding, as rows
+        # from the `Outcomes` constructor do
+        p = _log_sum_exp(z)[1].T
         return base.base.with_outcomes(Outcomes.trusted(kind=PROBS, values=p, num_classes=p.shape[1]))
 
     def load_state(self, arrays):

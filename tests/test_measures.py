@@ -77,13 +77,21 @@ class TestDirichletWeights:
         for seed in range(5):
             rng = RngStream(seed, (3,))
             g = rng.generator().gamma(np.concatenate([np.ones(n), shapes]))
-            g = np.maximum(g, np.finfo(float).tiny)
-            g = g / g.sum()
+            g = np.maximum(g / g.sum(), np.finfo(float).tiny)
             joint = sample_dirichlet_weights(n, k, alpha, rng, w)
             assert np.array_equal(joint[:n], g[:n])
             assert np.array_equal(joint[n:], g[n:])
             flat = rng.generator().gamma(np.ones(n))
-            assert np.array_equal(sample_uniform_dirichlet(n, rng), flat / flat.sum())
+            assert np.array_equal(sample_uniform_dirichlet(n, rng),
+                                  np.maximum(flat / flat.sum(), np.finfo(float).tiny))
+
+    def test_small_shapes_leave_no_weight_below_tiny(self):
+        # shape 5 / 2000 = 0.0025 underflows about one variate in six; the
+        # clamp after the normalisation leaves no weight zero or subnormal
+        n, k, alpha = 5, 2000, 5.0
+        for seed in range(5):
+            w = sample_dirichlet_weights(n, k, alpha, RngStream(seed, (1,)))
+            assert np.all(w >= np.finfo(float).tiny)
 
     @pytest.mark.parametrize("n,k,alpha", [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0), (1, 1, -2.0)])
     def test_parameter_errors(self, n, k, alpha):
@@ -203,24 +211,24 @@ class TestInvariantsAndValidation:
         for a, b in ((Outcomes.real([1.0, 2.0]), Outcomes.real([3.0])),
                      (Outcomes.classes([0, 1], 2), Outcomes.classes([1], 2)),
                      (Outcomes.probs([[0.2, 0.8]]), Outcomes.probs([[1.0, 0.0]])),
-                     # rows that each renormalisation moves by an ulp
+                     # a row that each renormalisation would move by an ulp
                      (Outcomes.probs([[0.199, 0.572, 1 - 0.199 - 0.572]]),
                       Outcomes.probs([[0.2, 0.3, 0.5]]))):
+            # `concat` of the parts, and `take` of all rows, keep the rows
+            # bit for bit, whatever their kind
             joined = Outcomes.concat(a, b)
-            assert np.array_equal(joined.values, Outcomes(a.kind, np.concatenate(
-                [a.values, b.values]), a.num_classes).values)
+            assert joined.values.tobytes() == np.concatenate([a.values, b.values]).tobytes()
+            assert joined.take(np.arange(len(joined))).values.tobytes() == joined.values.tobytes()
             assert not joined.values.flags.writeable
-            # `take` of each kind, and of a sample holding it, is what the
-            # checked constructors would build from the rows taken
-            checked = Outcomes(a.kind, joined.values[idx], a.num_classes)
+            # `take` of each kind, and of a sample holding it, adopts the rows taken
             sample = LabeledSample(np.arange(len(joined))[:, None], joined, joined)
             rows = sample.take(idx)
             for got in (joined.take(idx), rows.outcomes, rows.imputed):
                 assert got.kind == a.kind and got.num_classes == a.num_classes
-                assert np.array_equal(got.values, checked.values)
+                assert got.values.tobytes() == joined.values[idx].tobytes()
                 assert not got.values.flags.writeable
             assert np.array_equal(rows.covariates, LabeledSample(
-                sample.covariates[idx], checked).covariates)
+                sample.covariates[idx], joined.take(idx)).covariates)
             assert not rows.covariates.flags.writeable
             with pytest.raises(ParameterError, match="labeled sample must be nonempty"):
                 sample.take([])
@@ -240,6 +248,15 @@ class TestInvariantsAndValidation:
         for problem in problems:
             for array in (problem.covariates, problem.outcomes.values, problem.weights):
                 assert not array.flags.writeable
+
+    def test_probability_rows_stay_put_under_take_and_concat(self):
+        # normalised once by the constructor, a row is never divided again:
+        # twenty rounds of `take` and `concat` leave it as it was
+        row = Outcomes.probs([[0.199, 0.572, 1 - 0.199 - 0.572]])
+        got = row
+        for _ in range(20):
+            got = Outcomes.concat(got.take(np.arange(len(got))), row).take([0])
+        assert got.values.tobytes() == row.values.tobytes()
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ParameterError):

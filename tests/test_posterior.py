@@ -520,7 +520,7 @@ class TestRunPlan:
             weights = sample_dirichlet_weights(inference.n, rect.k, config.gamma * inference.n,
                                                rng.child(2), rect.weights)
             problem = WeightedProblem(np.vstack([inference.covariates, rect.covariates]), outcomes,
-                                      np.maximum(weights, np.finfo(float).tiny), loss)
+                                      weights, loss)
             assert run.samples[b].tobytes() == solve_weighted(problem).tobytes(), b
 
     @pytest.mark.parametrize("rectifier", [Identity(), ProbRecalib()])
