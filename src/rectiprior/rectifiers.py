@@ -505,9 +505,6 @@ class SortedBase:
         of sorted base atoms, holding the run's summed weight and the
         covariates of its first atom."""
         weights = self.cum_weights[hi] - self.cum_weights[lo]
-        weights = weights / weights.sum()
-        # divided by the sum a second time, as the `AtomicMeasure` constructor
-        # would, which keeps draws bit for bit as they were
         return AtomicMeasure.trusted(covariates=self.base.covariates[self.order[lo]],
                                      outcomes=Outcomes.trusted(kind=REAL, values=levels),
                                      weights=weights / weights.sum())
