@@ -261,9 +261,9 @@ def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
     v is `base_weights`, the base measure's atom weights (uniform 1/k when
     omitted).  Sampling goes through independent Gamma variates normalized
     jointly; shapes below 1 are handled exactly by the generator.  The
-    normalized weights are clamped once, below at the smallest positive
-    normal float, so no weight is zero or subnormal, whether its variate
-    underflowed or its quotient did; the clamp is not renormalized away.
+    normalized vector is clamped once, below at `TINY` (the smallest normal
+    float), so no weight is zero or subnormal, whether its variate
+    underflowed or its quotient did; nothing divides it again.
     """
     if n < 1 or k < 1:
         raise ParameterError("n and k must be positive")
@@ -289,7 +289,8 @@ def sample_dirichlet_weights(n: int, k: int, alpha: float, rng: RngStream,
 
 
 def sample_uniform_dirichlet(n: int, rng: RngStream) -> np.ndarray:
-    """Flat Dirichlet(1,...,1) over n rows; the Bayesian bootstrap weight law."""
+    """Flat Dirichlet(1,...,1) over n rows, the Bayesian bootstrap weight law,
+    clamped once as `sample_dirichlet_weights` clamps."""
     if n < 1:
         raise ParameterError("n must be positive")
     g = rng.generator().standard_exponential(n)
