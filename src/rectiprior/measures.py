@@ -129,8 +129,7 @@ class Outcomes(Trusted):
         return self.values.shape[0]
 
     def take(self, idx) -> "Outcomes":
-        return Outcomes.trusted(kind=self.kind, values=self.values[idx],
-                                num_classes=self.num_classes)
+        return Outcomes.trusted(kind=self.kind, values=self.values[idx], num_classes=self.num_classes)
 
     def same_variant(self, other: "Outcomes") -> bool:
         return self.kind == other.kind and self.num_classes == other.num_classes

@@ -66,11 +66,15 @@ class TestDirichletWeights:
         assert np.array_equal(a[:3], b[:3])
         assert np.array_equal(a[3:], b[3:])
 
-    @pytest.mark.parametrize("weights", [None, "equal", "unequal"])
-    def test_matches_one_gamma_call_over_all_shapes(self, weights):
+    # shapes of 5 / 2000 = 0.0025 underflow about one variate in six
+    @pytest.mark.parametrize("weights,n,k,alpha", [
+        (weights, *size) for size in ((50, 40, 23.0), (5, 2000, 5.0))
+        for weights in (None, "equal", "unequal")],
+        ids=["None", "equal", "unequal", "None-small", "equal-small", "unequal-small"])
+    def test_matches_one_gamma_call_over_all_shapes(self, weights, n, k, alpha):
         # the labeled and base blocks are drawn by two calls; they must give
-        # the stream of a single gamma call over the concatenated shapes
-        n, k, alpha = 50, 40, 23.0
+        # the stream of a single gamma call over the concatenated shapes,
+        # normalised and then clamped once, so no weight is below `TINY`
         w = {None: None, "equal": np.full(k, 1 / k),
              "unequal": np.random.default_rng(0).dirichlet(np.ones(k))}[weights]
         shapes = np.full(k, alpha / k) if w is None or weights == "equal" else alpha * w
@@ -81,17 +85,10 @@ class TestDirichletWeights:
             joint = sample_dirichlet_weights(n, k, alpha, rng, w)
             assert np.array_equal(joint[:n], g[:n])
             assert np.array_equal(joint[n:], g[n:])
+            assert np.all(joint >= np.finfo(float).tiny)
             flat = rng.generator().gamma(np.ones(n))
             assert np.array_equal(sample_uniform_dirichlet(n, rng),
                                   np.maximum(flat / flat.sum(), np.finfo(float).tiny))
-
-    def test_small_shapes_leave_no_weight_below_tiny(self):
-        # shape 5 / 2000 = 0.0025 underflows about one variate in six; the
-        # clamp after the normalisation leaves no weight zero or subnormal
-        n, k, alpha = 5, 2000, 5.0
-        for seed in range(5):
-            w = sample_dirichlet_weights(n, k, alpha, RngStream(seed, (1,)))
-            assert np.all(w >= np.finfo(float).tiny)
 
     @pytest.mark.parametrize("n,k,alpha", [(0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0), (1, 1, -2.0)])
     def test_parameter_errors(self, n, k, alpha):
@@ -232,6 +229,12 @@ class TestInvariantsAndValidation:
             assert not rows.covariates.flags.writeable
             with pytest.raises(ParameterError, match="labeled sample must be nonempty"):
                 sample.take([])
+        # twenty rounds of `take` and `concat` leave a row as the constructor made it
+        row = Outcomes.probs([[0.199, 0.572, 1 - 0.199 - 0.572]])
+        got = row
+        for _ in range(20):
+            got = Outcomes.concat(got.take([0]), row).take([0])
+        assert got.values.tobytes() == row.values.tobytes()
         base = AtomicMeasure(np.zeros((3, 1)), Outcomes.probs(np.full((3, 2), 0.5)))
         assert not realize_class_labels(base, RngStream(0)).outcomes.values.flags.writeable
         # the weighted problem a posterior draw solves, with and without the base
@@ -248,15 +251,6 @@ class TestInvariantsAndValidation:
         for problem in problems:
             for array in (problem.covariates, problem.outcomes.values, problem.weights):
                 assert not array.flags.writeable
-
-    def test_probability_rows_stay_put_under_take_and_concat(self):
-        # normalised once by the constructor, a row is never divided again:
-        # twenty rounds of `take` and `concat` leave it as it was
-        row = Outcomes.probs([[0.199, 0.572, 1 - 0.199 - 0.572]])
-        got = row
-        for _ in range(20):
-            got = Outcomes.concat(got.take(np.arange(len(got))), row).take([0])
-        assert got.values.tobytes() == row.values.tobytes()
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ParameterError):
