@@ -59,8 +59,8 @@ def test_samples_of_runs_and_bench_tables():
     assert digest_sweep.samples(run) == (1.0, 2.0, 3.0, 4.0)
     assert digest_sweep.samples((run, None, None)) == (1.0, 2.0, 3.0, 4.0)
     records = [BenchRecord(0, "raw-ai", 0.0, 1.0, np.float64(0.25), 0.5, True, 1.0, 1.0)]
-    assert digest_sweep.samples(records) == (0.25,)
-    assert type(digest_sweep.samples(records)[0]) is float
+    assert digest_sweep.samples(records) == (0.0, 0.25, 1.0)
+    assert all(type(v) is float for v in digest_sweep.samples(records))
 
 
 def test_sweep_names_every_configuration_once():

@@ -7,8 +7,8 @@ Without ``--parent`` the script prints one line, ``name digest samples...``,
 per configuration: the sha256 of ``serialize_run`` for every run of the sweep
 below, then of each benchmark workload's output (``serialize_run``, or
 ``serialize_bench`` for replicate-npb-qmap) at seeds 1 and 7919, followed by
-the run's posterior samples (the records' point estimates for
-``serialize_bench``).  It imports the library and the benchmark from the
+the run's posterior samples (each record's interval ends and point estimate
+for ``serialize_bench``).  It imports the library and the benchmark from the
 checkout at ``--tree`` (this one by default).  A run that raises is digested
 by its error and has no samples.
 
@@ -105,12 +105,12 @@ def sweep_inputs(scenario: str, n: int, k: int, seed: int, tied: bool):
 
 
 def samples(output) -> tuple[float, ...]:
-    """The posterior samples of a run or a workload's output, or the point
-    estimates of a bench table's records."""
+    """The posterior samples of a run or a workload's output, or each bench
+    record's interval ends and point estimate."""
     if isinstance(output, tuple):  # infer-csv-bigbase: (run, labeled, base)
         output = output[0]
     if isinstance(output, list):
-        return tuple(float(record.point) for record in output)
+        return tuple(float(v) for r in output for v in (r.lower, r.point, r.upper))
     return tuple(output.samples.ravel().tolist())
 
 
