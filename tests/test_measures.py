@@ -229,12 +229,13 @@ class TestInvariantsAndValidation:
             assert not rows.covariates.flags.writeable
             with pytest.raises(ParameterError, match="labeled sample must be nonempty"):
                 sample.take([])
-        # twenty rounds of `take` and `concat` leave a row as the constructor made it
+        # twenty rounds of `take` of all rows and `concat` leave every row as
+        # the constructor made it
         row = Outcomes.probs([[0.199, 0.572, 1 - 0.199 - 0.572]])
         got = row
         for _ in range(20):
-            got = Outcomes.concat(got.take([0]), row).take([0])
-        assert got.values.tobytes() == row.values.tobytes()
+            got = Outcomes.concat(got.take(np.arange(len(got))), row)
+        assert got.values.tobytes() == np.tile(row.values, (21, 1)).tobytes()
         base = AtomicMeasure(np.zeros((3, 1)), Outcomes.probs(np.full((3, 2), 0.5)))
         assert not realize_class_labels(base, RngStream(0)).outcomes.values.flags.writeable
         # the weighted problem a posterior draw solves, with and without the base
