@@ -208,7 +208,9 @@ def main(argv=None) -> int:
 
     workdir = Path(tempfile.mkdtemp(prefix="digest_sweep-"))
     try:
-        runs = [swept(export(rev, workdir / side)) for side, rev in zip(SIDES, (args.parent, args.change))]
+        # both trees are exported before either sweep starts, so a bad revision starts none
+        trees = [export(rev, workdir / side) for side, rev in zip(SIDES, (args.parent, args.change))]
+        runs = [swept(tree) for tree in trees]
         outputs = [run.communicate()[0] for run in runs]
         if any(run.returncode for run in runs):
             print("a sweep failed", file=sys.stderr)
