@@ -44,8 +44,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, SIDES, export  # noqa: E402
 
@@ -165,7 +163,7 @@ def difference(a: tuple[float, ...] | None, b: tuple[float, ...] | None) -> floa
     size, else None."""
     if not a or not b or len(a) != len(b):
         return None
-    return float(np.max(np.abs(np.subtract(a, b))))
+    return max(abs(x - y) for x, y in zip(a, b))
 
 
 def report(parent: Sweep, change: Sweep) -> list[str]:
@@ -177,7 +175,8 @@ def report(parent: Sweep, change: Sweep) -> list[str]:
     for name in differ:
         got = [values.get(name, ("missing", None)) for values in (parent, change)]
         size = difference(*(values for _, values in got))
-        sizes += [] if size is None else [size]
+        if size is not None:
+            sizes.append(size)
         lines.append(f"  {name}  " + "  ".join(f"{side} {d[:12]}" for side, (d, _) in zip(SIDES, got))
                      + f"  max|diff| {'n/a' if size is None else f'{size:.3g}'}")
     if sizes:
