@@ -44,7 +44,7 @@ from .posterior import (
     PriorConfig,
     credible_interval,
     posterior_draw,
-    posterior_predict_class,
+    posterior_predict_class_batch,
     run_posterior,
 )
 from .diagnostics import (

@@ -20,7 +20,7 @@ from .losses import (
     scores,
     solve_weighted,
 )
-from .measures import AtomicMeasure, LabeledSample, Outcomes, stack_covariates
+from .measures import AtomicMeasure, LabeledSample, Outcomes, check_covariate_count, stack_covariates
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ def mixed_erm(labeled: LabeledSample, base: AtomicMeasure, loss: LossSpec, gamma
     """Minimizer of P_n loss + gamma * P_base loss (the mixed target plug-in)."""
     if gamma == 0.0 or base is None:
         return labeled_erm(labeled, loss)
+    if loss.reads_covariates:
+        check_covariate_count(labeled, base)
     covs = stack_covariates(labeled, base, loss)
     outs = Outcomes.concat(labeled.outcomes, base.outcomes)
     w = np.concatenate([np.full(labeled.n, 1.0 / labeled.n), gamma * base.weights])

@@ -88,7 +88,10 @@ class Outcomes(Trusted):
             if values.ndim != 1:
                 raise ParameterError("real outcomes must form a vector")
         elif kind == CLASS:
-            values = np.array(values, dtype=np.int64)
+            labels = np.array(values, dtype=np.int64)
+            if np.any(labels != values):
+                raise ParameterError("class labels must be integers")
+            values = labels
             if values.ndim != 1:
                 raise ParameterError("class outcomes must form a vector")
             if num_classes is None or num_classes < 2:
@@ -213,6 +216,8 @@ class AtomicMeasure(Trusted):
             weights = np.array(np.asarray(self.weights, dtype=float))
             if weights.shape != (k,):
                 raise ParameterError("weight count must match atom count")
+            if not np.all(np.isfinite(weights)):
+                raise ParameterError("weights contain NaN or Inf")
             if np.any(weights < 0):
                 raise ParameterError("weights must be nonnegative")
             total = weights.sum()
@@ -244,11 +249,11 @@ def check_covariate_count(labeled: LabeledSample, base: AtomicMeasure) -> None:
 
 
 def stack_covariates(labeled: LabeledSample, base: AtomicMeasure, loss) -> np.ndarray:
-    """The labeled rows' covariates over the base atoms' (checked to be as many) for a
-    loss that `reads_covariates`; an empty block of as many rows for one that does not."""
+    """The labeled rows' covariates over the base atoms' for a loss that
+    `reads_covariates`, whose counts the caller has checked to agree; an
+    empty block of as many rows for a loss that does not."""
     if not loss.reads_covariates:
         return np.empty((labeled.n + base.k, 0))
-    check_covariate_count(labeled, base)
     return np.vstack([labeled.covariates, base.covariates])
 
 

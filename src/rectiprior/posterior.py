@@ -17,6 +17,7 @@ rectified base, class labels, outcomes and weighted problem are adopted by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from io import StringIO
 
@@ -79,6 +80,8 @@ class PriorConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise ParameterError("gamma must be finite")
         if self.gamma < 0:
             raise ParameterError("gamma must be nonnegative")
         if self.draws < 2:
@@ -282,14 +285,11 @@ def run_posterior(labeled: LabeledSample, base: AtomicMeasure | None, loss: Loss
                         level=config.level, config=config, statuses=statuses)
 
 
-def posterior_predict_class(run: PosteriorRun, loss: LossSpec, x) -> int:
-    """Argmax of the mean predicted class probabilities across posterior draws."""
+def posterior_predict_class_batch(run: PosteriorRun, loss: LossSpec, X) -> np.ndarray:
+    """Argmax of the mean predicted class probabilities across posterior
+    draws, for each row of X."""
     if not is_classification(loss):
         raise ParameterError("posterior class prediction needs a classification loss")
-    return int(posterior_predict_class_batch(run, loss, x)[0])
-
-
-def posterior_predict_class_batch(run: PosteriorRun, loss: LossSpec, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     mean_p = np.mean([predict_probs(loss, theta, X) for theta in run.samples], axis=0)
     return mean_p.argmax(axis=1)

@@ -131,6 +131,14 @@ class Identity(RectifierSpec):
 
 @dataclass(frozen=True)
 class QuantileMap(StepMap):
+    """Empirical quantile mapping y -> Fhat_Y^{-1}(Fhat_Yhat(y)).
+
+    The fit keeps both marginals as sorted grids of equal length m.  A base
+    outcome y maps to the ceil(u*m)-th order statistic of the true grid, u
+    being the right-continuous empirical CDF of the imputed grid at y; below
+    the grid (u = 0) it maps to the smallest order statistic.
+    """
+
     tag = "quantile-map"
 
     def fit_counts(self, calib):
@@ -140,14 +148,20 @@ class QuantileMap(StepMap):
             "true_grid": np.repeat(rows.sorted_true.values, counts[rows.true_order])})
 
     def _steps(self, state):
-        # the right-continuous empirical CDF of the imputed grid picks an
-        # order statistic of the true grid; below the grid, the smallest
         grid_t = state["true_grid"]
         return state["imputed_grid"], np.concatenate([grid_t[:1], grid_t]), "left"
 
 
 @dataclass(frozen=True)
 class Isotonic(StepMap):
+    """Monotone nondecreasing map of imputed to true outcomes by PAVA.
+
+    Rows tied in their imputed value are pooled, weighted by multiplicity,
+    before PAVA, which gives the least-squares monotone fit at the distinct
+    imputed values (the knots).  The map is stepwise constant with its steps
+    at the midpoints between consecutive knots, clamped beyond the grid.
+    """
+
     tag = "isotonic"
 
     def fit_counts(self, calib):
@@ -186,6 +200,8 @@ class MomentShift(_MomentMap):
 
 @dataclass(frozen=True)
 class MomentAffine(_MomentMap):
+    """Affine map y -> a + b*y matching the mean and covariate-cross moments."""
+
     tag = "moment-affine"
 
     def rows(self, labeled, base):
@@ -210,6 +226,10 @@ class MomentAffine(_MomentMap):
 
 @dataclass(frozen=True)
 class ProbRecalib(RectifierSpec):
+    """Multinomial logistic recalibration g(p, x) = softmax(W(log p, x) + b),
+    (W, b) minimizing ridge-regularized cross-entropy on the features (log
+    clamped imputed probabilities, covariates)."""
+
     ridge: float = 1e-4
     clamp: float = 1e-6
     tag = "prob-recalib"
@@ -528,36 +548,9 @@ def make_calibration_sample(labeled: LabeledSample, strategy: CalibrationStrateg
 # fitting
 # ---------------------------------------------------------------------------
 
-def _pairs(true, imputed) -> LabeledSample:
-    """A calibration sample of paired real outcomes, without covariates."""
-    return LabeledSample(np.empty((len(true), 0)), Outcomes.real(true), Outcomes.real(imputed))
-
-
-def fit_quantile_map(calib_true, calib_imputed) -> FittedRectifier:
-    """Empirical quantile-mapping transform y -> Fhat_Y^{-1}(Fhat_Yhat(y)).
-
-    Stores both marginals as sorted grids of equal length m.  Application
-    uses the right-continuous empirical CDF of the imputed grid and the
-    ceil(u*m)-th order statistic of the true grid, clamping below the grid
-    to the smallest order statistic.
-    """
-    return fit_rectifier(QuantileMap(), _pairs(calib_true, calib_imputed), None)
-
-
 def pava(values, weights) -> np.ndarray:
     """Weighted least-squares nondecreasing fit (pool-adjacent-violators)."""
     return isotonic_regression(values, weights=weights).x
-
-
-def fit_isotonic(calib_imputed, calib_true) -> FittedRectifier:
-    """Monotone nondecreasing map of imputed to true outcomes via PAVA.
-
-    Ties in the imputed values are pre-pooled (weighted by multiplicity)
-    before running PAVA, which yields the least-squares monotone fit.
-    Application is stepwise constant with knots at midpoints between
-    consecutive distinct imputed values, clamped beyond the grid.
-    """
-    return fit_rectifier(Isotonic(), _pairs(calib_true, calib_imputed), None)
 
 
 def _base_real_values(base: AtomicMeasure):
@@ -571,26 +564,11 @@ def fit_moment_shift(calib: LabeledSample, base: AtomicMeasure) -> FittedRectifi
     return fit_rectifier(MomentShift(), calib, base)
 
 
-def fit_moment_affine(calib: LabeledSample, base: AtomicMeasure) -> FittedRectifier:
-    """Affine map y -> a + b*y matching mean and covariate-cross moments."""
-    return fit_rectifier(MomentAffine(), calib, base)
-
-
 def clamp_log_probs(p, clamp):
     """Clamp probabilities away from zero, renormalize, and take logs."""
     q = np.clip(p, clamp, None)
     q = q / q.sum(axis=1, keepdims=True)
     return np.log(q)
-
-
-def fit_prob_recalib(calib: LabeledSample, spec: ProbRecalib) -> FittedRectifier:
-    """Multinomial logistic recalibration g(p, x) = softmax(W(log p, x) + b).
-
-    The calibration sample must carry Class outcomes and per-row imputed
-    class probabilities; (W, b) minimize ridge-regularized cross-entropy on
-    the features (log clamped probabilities, covariates).
-    """
-    return fit_rectifier(spec, calib, None)
 
 
 def apply_rectifier(r: FittedRectifier,

@@ -542,6 +542,15 @@ class TestCli:
         # the run stops before its draws, naming both class counts
         assert "the base measure has 2 classes and the labeled sample 3" in err, err
 
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_non_finite_gamma_is_2(self, gamma, capsys):
+        # an infinite gamma ran every draw to NaN and exited 0
+        argv = ["infer", "--scenario", "gaussian-shift", "--n", "20", "--gamma", gamma,
+                "--draws", "5"]
+        assert cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+
     def test_covariate_free_runs_on_mismatched_files_still_run(self, tmp_path, capsys):
         f = self._mismatched_files(tmp_path)
         for loss in ("mean", "quantile"):

@@ -29,7 +29,7 @@ from rectiprior.posterior import (
     parse_run,
     plan_run,
     posterior_draw,
-    posterior_predict_class,
+    posterior_predict_class_batch,
     run_posterior,
     serialize_run,
     summarize_run,
@@ -234,14 +234,15 @@ class TestPredictClass:
         base = AtomicMeasure(xb, Outcomes.probs(pb))
         loss = MultinomialLogisticLoss(num_classes=2, ridge=1e-4)
         run = run_posterior(labeled, base, loss, PriorConfig(gamma=1.0, draws=40, seed=4))
-        assert posterior_predict_class(run, loss, [2.0]) == 1
-        assert posterior_predict_class(run, loss, [-2.0]) == 0
+        assert posterior_predict_class_batch(run, loss, [2.0]).tolist() == [1]
+        assert posterior_predict_class_batch(run, loss, [-2.0]).tolist() == [0]
+        assert posterior_predict_class_batch(run, loss, [[2.0], [-2.0]]).tolist() == [1, 0]
 
     def test_requires_classification_loss(self):
         labeled, base = make_real_data()
         run = run_posterior(labeled, base, MeanLoss(), PriorConfig(gamma=0.0, draws=10))
         with pytest.raises(ParameterError):
-            posterior_predict_class(run, MeanLoss(), [0.0])
+            posterior_predict_class_batch(run, MeanLoss(), [0.0])
 
 
 class TestSerialization:
@@ -576,6 +577,8 @@ class TestConfigValidation:
         {"gamma": 1.0, "draws": 1},
         {"gamma": 1.0, "level": 0.0},
         {"gamma": 1.0, "threads": 0},
+        {"gamma": np.inf},
+        {"gamma": np.nan},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ParameterError):

@@ -24,11 +24,7 @@ from rectiprior.rectifiers import (
     Split,
     apply_rectifier,
     clamp_log_probs,
-    fit_isotonic,
-    fit_moment_affine,
     fit_moment_shift,
-    fit_prob_recalib,
-    fit_quantile_map,
     fit_rectifier,
     make_calibration_sample,
     parse_rectifier,
@@ -219,12 +215,13 @@ class TestCalibrationStrategies:
 
 class TestQuantileMap:
     def test_identity_on_grid_points(self):
-        r = fit_quantile_map([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        r = fit_rectifier(QuantileMap(), real_sample([1.0, 2.0, 3.0], yhat=[1.0, 2.0, 3.0]), None)
         base = real_base([2.0])
         assert apply_rectifier(r, base).outcomes.values[0] == 2.0
 
     def test_hand_evaluation(self):
-        r = fit_quantile_map([1.0, 2.0, 3.0], [10.0, 20.0, 30.0])
+        calib = real_sample([1.0, 2.0, 3.0], yhat=[10.0, 20.0, 30.0])
+        r = fit_rectifier(QuantileMap(), calib, None)
         out = apply_rectifier(r, real_base([20.0, 5.0, 35.0])).outcomes.values
         assert out[0] == 2.0   # Fhat(20) = 2/3, 2nd order statistic
         assert out[1] == 1.0   # below grid clamps to minimum
@@ -232,14 +229,15 @@ class TestQuantileMap:
 
     def test_monotone_in_argument(self):
         rng = np.random.default_rng(0)
-        r = fit_quantile_map(rng.normal(size=50), rng.normal(size=50))
+        calib = real_sample(rng.normal(size=50), yhat=rng.normal(size=50))
+        r = fit_rectifier(QuantileMap(), calib, None)
         ys = np.sort(rng.normal(size=200) * 2)
         out = apply_rectifier(r, real_base(ys)).outcomes.values
         assert np.all(np.diff(out) >= 0)
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
-            fit_quantile_map([1.0], [1.0, 2.0])
+            fit_rectifier(QuantileMap(), real_sample([1.0], yhat=[1.0, 2.0]), None)
 
 
 @pytest.mark.parametrize("spec", [QuantileMap(), Isotonic()])
@@ -418,20 +416,20 @@ class TestIsotonic:
             knots, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
             sums = np.zeros(knots.size)
             np.add.at(sums, inverse, y)
-            state = fit_isotonic(x, y).state
+            state = fit_rectifier(Isotonic(), real_sample(y, yhat=x), None).state
             assert np.array_equal(state["knots"], knots)
             assert np.array_equal(state["fitted"], pava(sums / counts, counts.astype(float)))
 
     def test_monotone_input_is_noop(self):
-        r = fit_isotonic([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        r = fit_rectifier(Isotonic(), real_sample([1.0, 2.0, 3.0], yhat=[1.0, 2.0, 3.0]), None)
         assert np.allclose(r.state["fitted"], [1, 2, 3])
 
     def test_single_violation_pools(self):
-        r = fit_isotonic([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
+        r = fit_rectifier(Isotonic(), real_sample([1.0, 3.0, 2.0], yhat=[1.0, 2.0, 3.0]), None)
         assert np.allclose(r.state["fitted"], [1.0, 2.5, 2.5])
 
     def test_constant_true(self):
-        r = fit_isotonic([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
+        r = fit_rectifier(Isotonic(), real_sample([4.0, 4.0, 4.0], yhat=[1.0, 2.0, 3.0]), None)
         out = apply_rectifier(r, real_base([-5.0, 2.5, 9.0])).outcomes.values
         assert np.all(out == 4.0)
 
@@ -447,7 +445,8 @@ class TestIsotonic:
         rng = np.random.default_rng(2)
         for _ in range(50):
             n = int(rng.integers(2, 60))
-            r = fit_isotonic(rng.normal(size=n), rng.normal(size=n))
+            x, y = rng.normal(size=n), rng.normal(size=n)
+            r = fit_rectifier(Isotonic(), real_sample(y, yhat=x), None)
             assert np.all(np.diff(r.state["fitted"]) >= -1e-12)
 
 
@@ -475,7 +474,7 @@ class TestMomentMatching:
         y = 2 * x[:, 0] + rng.normal(size=200)
         calib = real_sample(y, x=x, yhat=y)
         base = AtomicMeasure(x, Outcomes.real(y))
-        r = fit_moment_affine(calib, base)
+        r = fit_rectifier(MomentAffine(), calib, base)
         assert r.state["a"] == pytest.approx(0.0, abs=1e-10)
         assert r.state["b"] == pytest.approx(1.0, abs=1e-10)
 
@@ -485,14 +484,14 @@ class TestMomentMatching:
         y0 = x[:, 0] + 0.1 * rng.normal(size=5000)
         calib = real_sample(y0, x=x)
         base = AtomicMeasure(x, Outcomes.real(2.0 * y0))
-        r = fit_moment_affine(calib, base)
+        r = fit_rectifier(MomentAffine(), calib, base)
         assert r.state["b"] == pytest.approx(0.5, abs=0.05)
 
     def test_affine_constant_x_falls_back_to_shift(self):
         x = np.ones((4, 1))
         calib = real_sample([1.0, 2.0, 3.0, 4.0], x=x)
         base = AtomicMeasure(x, Outcomes.real([10.0, 10.0, 10.0, 10.0]))
-        r = fit_moment_affine(calib, base)
+        r = fit_rectifier(MomentAffine(), calib, base)
         assert r.state["b"] == 1.0
         assert r.state["a"] == pytest.approx(2.5 - 10.0)
 
@@ -501,7 +500,7 @@ class TestMomentMatching:
         x = rng.normal(size=(50, 3))
         calib = real_sample(rng.normal(size=50), x=x)
         base = AtomicMeasure(rng.normal(size=(40, 3)), Outcomes.real(rng.normal(size=40)))
-        r = fit_moment_affine(calib, base)
+        r = fit_rectifier(MomentAffine(), calib, base)
         yhat = base.outcomes.values
         rows = [[1.0, np.average(yhat, weights=base.weights)]]
         rhs = [calib.outcomes.values.mean()]
@@ -532,7 +531,7 @@ class TestProbRecalib:
         p = rng.dirichlet(np.ones(c), size=n)
         labels = np.array([rng.choice(c, p=row) for row in p])
         calib = LabeledSample(rng.normal(size=(n, 2)), Outcomes.classes(labels, c), Outcomes.probs(p))
-        r = fit_prob_recalib(calib, ProbRecalib(ridge=1e-8))
+        r = fit_rectifier(ProbRecalib(ridge=1e-8), calib, None)
         fitted_probs = apply_rectifier(r, AtomicMeasure(calib.covariates, calib.imputed)).outcomes.values
         ce_fit = -np.log(fitted_probs[np.arange(n), labels]).mean()
         ce_id = -np.log(np.clip(p[np.arange(n), labels], 1e-12, None)).mean()
@@ -549,7 +548,7 @@ class TestProbRecalib:
         probs = softmax(feats @ w_true.T + b_true, axis=1)
         labels = np.array([rng.choice(c, p=row) for row in probs])
         calib = LabeledSample(x, Outcomes.classes(labels, c), Outcomes.probs(p))
-        r = fit_prob_recalib(calib, ProbRecalib(ridge=1e-6))
+        r = fit_rectifier(ProbRecalib(ridge=1e-6), calib, None)
         # held-out comparison
         p2 = rng.dirichlet(np.ones(c), size=m)
         x2 = rng.normal(size=(m, dx))
@@ -626,7 +625,7 @@ class TestProbRecalib:
         labels = rng.integers(0, 4, 100)
         calib = LabeledSample(rng.normal(size=(100, 2)), Outcomes.classes(labels, 4),
                               Outcomes.probs(rng.dirichlet(np.ones(4), size=100)))
-        r = fit_prob_recalib(calib, ProbRecalib())
+        r = fit_rectifier(ProbRecalib(), calib, None)
         rect = apply_rectifier(r, base).outcomes
         out = rect.values
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
@@ -648,7 +647,8 @@ class TestApplyAndDiscrepancy:
         rng = np.random.default_rng(8)
         w = rng.dirichlet(np.ones(5))
         base = real_base(rng.normal(size=5), x=rng.normal(size=(5, 2)), weights=w)
-        r = fit_quantile_map(rng.normal(size=9), rng.normal(size=9))
+        calib = real_sample(rng.normal(size=9), yhat=rng.normal(size=9))
+        r = fit_rectifier(QuantileMap(), calib, None)
         out = apply_rectifier(r, base)
         assert np.array_equal(out.weights, base.weights)
         assert np.array_equal(out.covariates, base.covariates)
@@ -657,7 +657,8 @@ class TestApplyAndDiscrepancy:
         # renormalizing on apply moved a uniform base's weights off 1/k by an ulp
         rng = np.random.default_rng(9)
         base = real_base(rng.normal(size=5000))
-        r = fit_quantile_map(rng.normal(size=50), rng.normal(size=50))
+        calib = real_sample(rng.normal(size=50), yhat=rng.normal(size=50))
+        r = fit_rectifier(QuantileMap(), calib, None)
         assert np.array_equal(apply_rectifier(r, base).weights, base.weights)
 
     def test_discrepancy_zero_for_same_measure(self):
@@ -680,7 +681,7 @@ class TestApplyAndDiscrepancy:
 
     def test_variant_mismatch(self):
         base = AtomicMeasure(np.zeros((2, 1)), Outcomes.probs(np.full((2, 2), 0.5)))
-        r = fit_quantile_map([1.0], [1.0])
+        r = fit_rectifier(QuantileMap(), real_sample([1.0], yhat=[1.0]), None)
         with pytest.raises(OutcomeTypeError):
             apply_rectifier(r, base)
 
@@ -700,8 +701,8 @@ class TestNpbVariability:
 
 class TestSerialization:
     @pytest.mark.parametrize("make", [
-        lambda: fit_quantile_map([1.0, 2.5], [0.5, 3.5]),
-        lambda: fit_isotonic([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]),
+        lambda: fit_rectifier(QuantileMap(), real_sample([1.0, 2.5], yhat=[0.5, 3.5]), None),
+        lambda: fit_rectifier(Isotonic(), real_sample([1.0, 3.0, 2.0], yhat=[1.0, 2.0, 3.0]), None),
         lambda: fit_moment_shift(real_sample([2.0]), real_base([5.0])),
     ])
     def test_round_trip(self, make):
@@ -716,7 +717,7 @@ class TestSerialization:
         labels = rng.integers(0, 3, 60)
         calib = LabeledSample(rng.normal(size=(60, 2)), Outcomes.classes(labels, 3),
                               Outcomes.probs(rng.dirichlet(np.ones(3), size=60)))
-        r = fit_prob_recalib(calib, ProbRecalib(ridge=1e-3, clamp=1e-5))
+        r = fit_rectifier(ProbRecalib(ridge=1e-3, clamp=1e-5), calib, None)
         r2 = parse_rectifier(serialize_rectifier(r))
         assert r2.spec == r.spec
         assert np.array_equal(r2.state["W"], r.state["W"])
