@@ -17,7 +17,6 @@ rectified base, class labels, outcomes and weighted problem are adopted by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from io import StringIO
 
@@ -80,7 +79,7 @@ class PriorConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.gamma):
+        if not np.isfinite(self.gamma):
             raise ParameterError("gamma must be finite")
         if self.gamma < 0:
             raise ParameterError("gamma must be nonnegative")

@@ -544,7 +544,7 @@ class TestCli:
 
     @pytest.mark.parametrize("gamma", ["inf", "nan"])
     def test_non_finite_gamma_is_2(self, gamma, capsys):
-        # an infinite gamma ran every draw to NaN and exited 0
+        # an infinite gamma would make every draw NaN
         argv = ["infer", "--scenario", "gaussian-shift", "--n", "20", "--gamma", gamma,
                 "--draws", "5"]
         assert cli(argv) == 2
