@@ -161,19 +161,27 @@ def _apply_config_file(argv):
     return argv + extra
 
 
-def _cmd_infer(args):
-    loss = _build_loss(args)
-    labeled, base = _load_data(args, loss)
-    config = PriorConfig(gamma=args.gamma, draws=args.draws, level=args.level,
-                         strategy=STRATEGIES[args.strategy](),
-                         rectifier=RECTIFIERS[args.rectifier](),
-                         seed=args.seed, threads=args.threads)
-    run = run_posterior(labeled, base, loss, config)
+def _prior_config(args):
+    return PriorConfig(gamma=args.gamma, draws=args.draws, level=args.level,
+                       strategy=STRATEGIES[args.strategy](), rectifier=RECTIFIERS[args.rectifier](),
+                       seed=args.seed, threads=args.threads)
+
+
+def _emit(args, text, shown):
+    """Write `text` to the --out file, if one is given, and `shown` to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(serialize_run(run))
-    print(summarize_run(run))
+            fh.write(text)
+    print(shown, end="")
     return 0
+
+
+def _cmd_infer(args):
+    config = _prior_config(args)
+    loss = _build_loss(args)
+    labeled, base = _load_data(args, loss)
+    run = run_posterior(labeled, base, loss, config)
+    return _emit(args, serialize_run(run), summarize_run(run) + "\n")
 
 
 def _cmd_rectify(args):
@@ -181,14 +189,8 @@ def _cmd_rectify(args):
     labeled, base = _load_data(args, loss)
     if base is None:
         raise UsageError("rectify requires a base measure")
-    fitted = fit_rectifier(RECTIFIERS[args.rectifier](), labeled, base)
-    text = serialize_rectifier(fitted)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    return 0
+    text = serialize_rectifier(fit_rectifier(RECTIFIERS[args.rectifier](), labeled, base))
+    return _emit(args, text, "" if args.out else text)
 
 
 def _cmd_bench(args):
@@ -204,40 +206,33 @@ def _cmd_bench(args):
                        replications=args.replications, seed=args.seed,
                        threads=args.threads, **data)
     records = run_bench(config)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(serialize_bench(records))
-    print(format_bench_summary(records))
-    return 0
+    return _emit(args, serialize_bench(records), format_bench_summary(records) + "\n")
 
 
 def _cmd_diagnose(args):
+    config = _prior_config(args)
     loss = _build_loss(args)
     labeled, base = _load_data(args, loss)
     if base is None:
         raise UsageError("diagnose requires a base measure")
-    rect = apply_rectifier(fit_rectifier(RECTIFIERS[args.rectifier](), labeled, base), base)
+    rect = apply_rectifier(fit_rectifier(config.rectifier, labeled, base), base)
     theta_tilde = labeled_erm(labeled, loss)
-    theta_mixed = mixed_erm(labeled, rect, loss, args.gamma)
-    est = sandwich(labeled, rect, loss, theta_mixed, args.gamma)
+    theta_mixed = mixed_erm(labeled, rect, loss, config.gamma)
+    est = sandwich(labeled, rect, loss, theta_mixed, config.gamma)
     reference = empirical_measure(labeled)
     lines = [f"rectifier: {args.rectifier}, fit once on the whole labeled sample",
              f"mixed ERM theta: {theta_mixed}",
              f"sandwich covariance diagonal: {est.cov.diagonal()}",
              "predicted centering bias: "
-             f"{predict_centering_bias(labeled, rect, loss, theta_tilde, args.gamma)}",
+             f"{predict_centering_bias(labeled, rect, loss, theta_tilde, config.gamma)}",
              "predicted centering bias of the raw base: "
-             f"{predict_centering_bias(labeled, base, loss, theta_tilde, args.gamma)}",
+             f"{predict_centering_bias(labeled, base, loss, theta_tilde, config.gamma)}",
              "score discrepancy at theta-tilde, labeled minus raw base: "
              f"{score_discrepancy(base, reference, loss, theta_tilde)}",
              "score discrepancy at theta-tilde, labeled minus rectified base: "
              f"{score_discrepancy(rect, reference, loss, theta_tilde)}"]
-    report = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report + "\n")
-    print(report)
-    return 0
+    report = "\n".join(lines) + "\n"
+    return _emit(args, report, report)
 
 
 def _cmd_generate(args):

@@ -16,11 +16,12 @@ from .losses import (
     QuantileLoss,
     WeightedProblem,
     mean_hessian,
-    mean_score,
     scores,
     solve_weighted,
 )
-from .measures import AtomicMeasure, LabeledSample, Outcomes, check_covariate_count, stack_covariates
+from .measures import (AtomicMeasure, LabeledSample, Outcomes, check_covariate_count,
+                       empirical_measure, stack_covariates)
+from .rectifiers import score_discrepancy
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,7 @@ def predict_centering_bias(labeled: LabeledSample, rectified_base: AtomicMeasure
     plug-in theta_tilde, with J0 the labeled-sample plug-in Hessian.
     """
     j0 = mean_hessian(loss, theta_tilde, labeled.covariates, labeled.outcomes)
-    disc = (mean_score(loss, theta_tilde, labeled.covariates, labeled.outcomes)
-            - mean_score(loss, theta_tilde, rectified_base.covariates,
-                         rectified_base.outcomes, rectified_base.weights))
+    disc = score_discrepancy(rectified_base, empirical_measure(labeled), loss, theta_tilde)
     try:
         sol = np.linalg.solve(j0, disc)
     except np.linalg.LinAlgError as exc:

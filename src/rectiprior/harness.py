@@ -22,7 +22,6 @@ from .losses import (
     LossSpec,
     MeanLoss,
     QuantileLoss,
-    is_classification,
 )
 from .measures import (CLASS, PROBS, REAL, AtomicMeasure, LabeledSample, Outcomes, RngStream,
                        inverse_cdf_labels)
@@ -361,7 +360,7 @@ def _sub_seed(seed, replication, slot):
 def run_bench(config: RunConfig) -> list[BenchRecord]:
     """Run the four-method replication benchmark and return one record per
     (replication, method) at the scenario's target coordinate."""
-    if is_classification(config.loss):
+    if config.loss.kind == CLASS:
         raise CapabilityError("interval benchmark requires a real-valued loss")
     beta = 1.0 - config.level
     records = []

@@ -87,6 +87,13 @@ class _Classifier(LossSpec):
         z = self.logits(theta, X)
         return _log_sum_exp(z.T)[0] - z[np.arange(len(y)), y.values]
 
+    @staticmethod
+    def _residual(z, y):
+        """Softmax of the logits z minus the one-hot outcomes y, one row per atom."""
+        r = _log_sum_exp(z.T)[1].T
+        r[np.arange(len(y)), y.values] -= 1.0
+        return r
+
 
 @dataclass(frozen=True)
 class MeanLoss(LossSpec):
@@ -188,8 +195,7 @@ class MultinomialLogisticLoss(_Classifier):
         return (theta.reshape(self.num_classes, -1) @ _with_intercept(X).T).T
 
     def scores(self, theta, X, y):
-        resid = _log_sum_exp(self.logits(theta, X).T)[1].T
-        resid[np.arange(len(y)), y.values] -= 1.0
+        resid = self._residual(self.logits(theta, X), y)
         return np.einsum("ic,id->icd", resid, _with_intercept(X)).reshape(len(y), -1)
 
     def hessian(self, theta, X, w):
@@ -212,7 +218,6 @@ class MlpLoss(_Classifier):
     num_classes: int
     epochs: int = 200
     step: float = 0.01
-    adam_betas: tuple = (0.9, 0.999)
     seed: int = 0
 
     def __post_init__(self):
@@ -250,8 +255,7 @@ class MlpLoss(_Classifier):
         n = X.shape[0]
         _, _, w2, _ = self._unpack(theta, X.shape[1])
         a, hid, z = self._forward(theta, X)
-        dz = _log_sum_exp(z.T)[1].T
-        dz[np.arange(n), y.values] -= 1.0
+        dz = self._residual(z, y)
         mask = (a > 0).astype(float)
         if w is None:
             dhid = (dz @ w2) * mask
@@ -279,7 +283,7 @@ class MlpLoss(_Classifier):
     def solve(self, X, y, w):
         w = w / w.sum()
         theta = self._init(X.shape[1])
-        b1, b2 = self.adam_betas
+        b1, b2 = _ADAM_BETAS
         eps = 1e-8
         m = np.zeros_like(theta)
         v = np.zeros_like(theta)
@@ -299,10 +303,6 @@ class MlpLoss(_Classifier):
 
 def theta_dim(spec: LossSpec, d_x: int) -> int:
     return spec.dim(d_x)
-
-
-def is_classification(spec: LossSpec) -> bool:
-    return spec.kind == CLASS
 
 
 def _check_theta(spec, theta, d_x):
@@ -387,7 +387,7 @@ def mean_hessian(spec: LossSpec, theta, X, y: Outcomes, weights=None) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def _one(y_scalar, spec):
-    if is_classification(spec):
+    if spec.kind == CLASS:
         return Outcomes.classes([int(y_scalar)], spec.num_classes)
     return Outcomes.real([float(y_scalar)])
 
@@ -458,6 +458,8 @@ _NEWTON_TOL = 1e-8
 # bound is loose: the solves in the test suite end at gradient norms up to
 # 0.092, and a diverged one (step 1e3 on covariates of order 1e3) near 4e5.
 _MLP_GRAD_TOL = 1.0
+# Adam's moment decay rates, at the values Kingma & Ba (2015) recommend
+_ADAM_BETAS = (0.9, 0.999)
 
 
 def _log_sum_exp(z):

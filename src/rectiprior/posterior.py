@@ -25,8 +25,9 @@ import numpy as np
 from .diagnostics import labeled_erm
 from .exceptions import (ConvergenceError, OutcomeTypeError, ParameterError, RankDeficiencyError,
                          RectipriorError)
-from .losses import LossSpec, WeightedProblem, is_classification, predict_probs, solve_weighted
+from .losses import LossSpec, WeightedProblem, predict_probs, solve_weighted
 from .measures import (
+    CLASS,
     PROBS,
     AtomicMeasure,
     LabeledSample,
@@ -101,16 +102,17 @@ class PosteriorRun:
     statuses: tuple              # per-draw "ok" or an error message
 
 
-def credible_interval(samples, level: float) -> tuple[float, float]:
-    """Central empirical-quantile interval with linear interpolation."""
+def credible_interval(samples, level: float) -> np.ndarray:
+    """Central empirical-quantile interval with linear interpolation: its
+    (lower, upper) ends for a vector of draws, and one such row per column
+    for a matrix with one row per draw."""
     samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
+    if samples.ndim == 0 or len(samples) < 2:
         raise ParameterError("need at least two samples")
     if not 0.0 < level < 1.0:
         raise ParameterError("level must lie in (0, 1)")
     beta = 1.0 - level
-    lo, hi = np.quantile(samples, [beta / 2.0, 1.0 - beta / 2.0], method="linear")
-    return float(lo), float(hi)
+    return np.quantile(samples, [beta / 2.0, 1.0 - beta / 2.0], axis=0, method="linear").T
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ class RunPlan:
 
 
 def _realizes_labels(rect: AtomicMeasure, loss: LossSpec) -> bool:
-    return rect.outcomes.kind == PROBS and is_classification(loss)
+    return rect.outcomes.kind == PROBS and loss.kind == CLASS
 
 
 def plan_run(labeled: LabeledSample, base: AtomicMeasure | None, loss: LossSpec,
@@ -277,17 +279,15 @@ def run_posterior(labeled: LabeledSample, base: AtomicMeasure | None, loss: Loss
             f"{failures}/{config.draws} posterior draws failed; first errors: " + "; ".join(failed[:3]))
 
     samples = np.asarray(thetas)
-    point = samples.mean(axis=0)
-    beta = 1.0 - config.level
-    intervals = np.quantile(samples, [beta / 2.0, 1.0 - beta / 2.0], axis=0, method="linear").T
-    return PosteriorRun(samples=samples, point=point, intervals=intervals,
+    return PosteriorRun(samples=samples, point=samples.mean(axis=0),
+                        intervals=credible_interval(samples, config.level),
                         level=config.level, config=config, statuses=statuses)
 
 
 def posterior_predict_class_batch(run: PosteriorRun, loss: LossSpec, X) -> np.ndarray:
     """Argmax of the mean predicted class probabilities across posterior
     draws, for each row of X."""
-    if not is_classification(loss):
+    if loss.kind != CLASS:
         raise ParameterError("posterior class prediction needs a classification loss")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     mean_p = np.mean([predict_probs(loss, theta, X) for theta in run.samples], axis=0)
