@@ -62,6 +62,8 @@ class ScenarioSpec:
             raise ParameterError("sample sizes must be positive")
         if not np.isfinite([self.noise, self.miscal, self.miscal2]).all():
             raise ParameterError("scenario parameters must be finite")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
 
     @property
     def target_coord(self) -> int:
@@ -351,6 +353,8 @@ class RunConfig:
             raise ParameterError("data mode needs a base measure")
         if self.replications < 1:
             raise ParameterError("replications must be positive")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
 
 
 def _sub_seed(seed, replication, slot):

@@ -227,6 +227,8 @@ class MlpLoss(_Classifier):
             raise ParameterError("need at least two classes")
         if not self.step > 0:
             raise ParameterError("step must be positive")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
 
     def dim(self, d_x):
         return self.hidden * (d_x + 1) + self.num_classes * (self.hidden + 1)

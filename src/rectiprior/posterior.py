@@ -90,6 +90,8 @@ class PriorConfig:
             raise ParameterError("level must lie in (0, 1)")
         if self.threads < 1:
             raise ParameterError("threads must be positive")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ from rectiprior.diagnostics import (
     sandwich,
 )
 from rectiprior.exceptions import CapabilityError, ParameterError
-from rectiprior.losses import LinearRegressionLoss, MeanLoss, QuantileLoss
-from rectiprior.measures import AtomicMeasure, LabeledSample, Outcomes
+from rectiprior.losses import LinearRegressionLoss, MeanLoss, QuantileLoss, mean_hessian
+from rectiprior.measures import AtomicMeasure, LabeledSample, Outcomes, empirical_measure
+from rectiprior.rectifiers import score_discrepancy
 
 
 def mean_data(y, weights=None):
@@ -161,6 +162,23 @@ class TestCenteringBias:
         j0 = x.T @ x / 100
         want = 0.5 * np.linalg.solve(j0, x.mean(axis=0))
         assert np.allclose(b, want, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.4, 3.0])
+    def test_is_the_scaled_score_discrepancy(self, gamma):
+        # gamma / (1 + gamma) * J0^-1 (P_n - P_base) g, with the discrepancy
+        # taken from score_discrepancy against the labeled sample, bit for bit
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(50, 2))
+        labeled = LabeledSample(x, Outcomes.real(x @ [1.0, -0.5] + rng.normal(size=50)))
+        base = AtomicMeasure(rng.normal(size=(30, 2)), Outcomes.real(rng.normal(size=30)),
+                             rng.dirichlet(np.ones(30)))
+        loss = LinearRegressionLoss()
+        theta = labeled_erm(labeled, loss)
+        j0 = mean_hessian(loss, theta, labeled.covariates, labeled.outcomes)
+        disc = score_discrepancy(base, empirical_measure(labeled), loss, theta)
+        want = gamma / (1.0 + gamma) * np.linalg.solve(j0, disc)
+        got = predict_centering_bias(labeled, base, loss, theta, gamma)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestErm:

@@ -26,7 +26,7 @@ from rectiprior.harness import (
 )
 from rectiprior.losses import LinearRegressionLoss, MeanLoss, QuantileLoss
 from rectiprior.measures import AtomicMeasure, LabeledSample, Outcomes
-from rectiprior.rectifiers import MomentShift, Npb, QuantileMap
+from rectiprior.rectifiers import MomentShift, Npb, QuantileMap, parse_rectifier
 from rectiprior.diagnostics import BenchRecord, aggregate_bench
 
 
@@ -395,16 +395,23 @@ class TestCli:
         assert text.startswith("rectiprior-posterior-v1")
         assert "posterior draws: 50" in capsys.readouterr().out
 
-    def test_rectify_writes_serialized_form(self, tmp_path):
+    def test_rectify_writes_serialized_form(self, tmp_path, capsys):
         prefix = str(tmp_path / "gs")
         cli(["generate", "--scenario", "gaussian-shift", "--n", "30",
              "--n-unlabeled", "30", "--out", prefix])
+        capsys.readouterr()
         out = str(tmp_path / "rect.txt")
-        code = cli(["rectify", "--labeled", f"{prefix}_labeled.csv",
-                    "--base", f"{prefix}_base.csv", "--rectifier", "quantile-map",
-                    "--out", out])
-        assert code == 0
-        assert open(out).read().startswith("rectiprior-rectifier-v1")
+        argv = ["rectify", "--labeled", f"{prefix}_labeled.csv",
+                "--base", f"{prefix}_base.csv", "--rectifier", "quantile-map"]
+        assert cli([*argv, "--out", out]) == 0
+        text = open(out).read()
+        assert text.startswith("rectiprior-rectifier-v1")
+        assert capsys.readouterr().out == ""
+        # without --out the document goes to stdout, and reads back
+        assert cli(argv) == 0
+        shown = capsys.readouterr().out
+        assert shown == text
+        assert parse_rectifier(shown).spec == QuantileMap()
 
     def test_bench_scenario_mode(self, tmp_path, capsys):
         out = str(tmp_path / "bench.tsv")
@@ -415,11 +422,28 @@ class TestCli:
         assert open(out).read().startswith("rectiprior-bench-v1")
         assert "rectified-ai" in capsys.readouterr().out
 
-    def test_diagnose(self, capsys):
+    def test_bench_data_mode(self, tmp_path, capsys):
+        # replications subsample the labeled file; the table reads back
+        prefix = str(tmp_path / "gs")
+        assert cli(["generate", "--scenario", "gaussian-shift", "--n", "60",
+                    "--n-unlabeled", "40", "--out", prefix]) == 0
+        out = str(tmp_path / "bench.tsv")
+        assert cli(["bench", "--labeled", f"{prefix}_labeled.csv", "--base", f"{prefix}_base.csv",
+                    "--n", "30", "--rectifier", "moment-shift", "--draws", "20",
+                    "--replications", "2", "--out", out]) == 0
+        records = parse_bench(open(out).read())
+        assert len(records) == 2 * len(BENCH_METHODS)
+        assert {r.method for r in records} == set(BENCH_METHODS)
+        assert format_bench_summary(records) in capsys.readouterr().out
+
+    def test_diagnose(self, tmp_path, capsys):
+        out = str(tmp_path / "diagnose.txt")
         code = cli(["diagnose", "--scenario", "gaussian-shift", "--n", "50",
-                    "--n-unlabeled", "50"])
+                    "--n-unlabeled", "50", "--out", out])
         assert code == 0
-        assert "predicted centering bias" in capsys.readouterr().out
+        shown = capsys.readouterr().out
+        assert "predicted centering bias" in shown
+        assert open(out).read() == shown
 
     def test_diagnose_reports_the_rectified_prior(self, capsys):
         # the monotone distortion biases the raw base; the report must be
@@ -542,14 +566,48 @@ class TestCli:
         # the run stops before its draws, naming both class counts
         assert "the base measure has 2 classes and the labeled sample 3" in err, err
 
-    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    @pytest.mark.parametrize("gamma", ["inf", "nan", "-1"])
     def test_non_finite_gamma_is_2(self, gamma, capsys):
-        # an infinite gamma would make every draw NaN
-        argv = ["infer", "--scenario", "gaussian-shift", "--n", "20", "--gamma", gamma,
-                "--draws", "5"]
-        assert cli(argv) == 2
+        # an infinite gamma would make every draw NaN, and diagnose's mixed
+        # ERM fail to converge
+        for command in ("infer", "diagnose"):
+            argv = [command, "--scenario", "gaussian-shift", "--n", "20", "--gamma", gamma,
+                    "--draws", "5"]
+            assert cli(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and err.count("\n") == 1, err
+            assert "gamma" in err, err
+
+    @pytest.mark.parametrize("flag,value", [("--draws", "1"), ("--level", "2"), ("--threads", "0")])
+    def test_diagnose_checks_run_flags_as_infer_does(self, flag, value, capsys):
+        # both build their run settings through one PriorConfig
+        for command in ("infer", "diagnose"):
+            argv = [command, "--scenario", "gaussian-shift", "--n", "20", flag, value]
+            assert cli(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", [
+        ["infer", "--labeled", "{p}_labeled.csv", "--base", "{p}_base.csv", "--draws", "4"],
+        ["generate", "--scenario", "gaussian-shift", "--out", "{p}_new"],
+        ["bench", "--scenario", "gaussian-shift", "--replications", "1"],
+        ["bench", "--labeled", "{p}_labeled.csv", "--base", "{p}_base.csv", "--n", "10",
+         "--replications", "1"],
+        ["infer", "--loss", "mlp", "--classes", "3", "--gamma", "0"],
+        ["rectify", "--loss", "mlp", "--classes", "3", "--scenario", "categorical-miscalibrated",
+         "--rectifier", "prob-recalib", "--n", "20", "--n-unlabeled", "20"],
+    ], ids=["infer", "generate", "bench", "bench-data", "infer-mlp", "rectify-mlp"])
+    def test_negative_seed_is_2(self, command, tmp_path, capsys):
+        # refused where the configuration is built, before a random stream
+        # is seeded from it
+        prefix = str(tmp_path / "gs")
+        assert cli(["generate", "--scenario", "gaussian-shift", "--n", "20",
+                    "--n-unlabeled", "20", "--out", prefix]) == 0
+        capsys.readouterr()
+        argv = [arg.format(p=prefix) for arg in command] + ["--seed", "-1"]
+        assert cli(argv) == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert err == "data error: seed must be nonnegative\n", err
 
     def test_covariate_free_runs_on_mismatched_files_still_run(self, tmp_path, capsys):
         f = self._mismatched_files(tmp_path)
@@ -565,9 +623,13 @@ class TestCli:
                     "--labeled", f["lab1"], "--base", f["base2"]]) == 0
         assert "mixed ERM theta" in capsys.readouterr().out
 
-    def test_config_flag_without_path_is_1(self, capsys):
+    def test_config_flag_without_path_is_1(self, tmp_path, capsys):
         assert cli(["infer", "--config"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = gaussian-shift\ndraws 20\n")
+        assert cli(["infer", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: malformed config line 'draws 20'\n"
 
     def test_missing_config_file_is_2(self, tmp_path, capsys):
         assert cli(["infer", "--config", str(tmp_path / "missing.cfg")]) == 2
@@ -575,8 +637,8 @@ class TestCli:
 
     def test_config_file_merges_with_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("scenario = gaussian-shift\nn = 30\nn-unlabeled = 30\n"
-                       "draws = 20\ngamma = 1.0\nrectifier = moment-shift\n")
+        cfg.write_text("# a comment line\nscenario = gaussian-shift\nn = 30\nn-unlabeled = 30\n"
+                       "\n  # an indented one\ndraws = 20\ngamma = 1.0\nrectifier = moment-shift\n")
         assert cli(["infer", "--config", str(cfg)]) == 0
         first = capsys.readouterr().out
         assert "posterior draws: 20" in first

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from scipy.special import softmax
 
 from rectiprior.cli import _make_parser
-from rectiprior.harness import ScenarioSpec, generate_scenario
+from rectiprior.harness import RunConfig, ScenarioSpec, generate_scenario
 from rectiprior import posterior
 from rectiprior.diagnostics import labeled_erm
 from rectiprior.exceptions import (ConvergenceError, OutcomeTypeError, ParameterError,
                                    RankDeficiencyError, RectipriorError)
-from rectiprior.losses import (LinearRegressionLoss, MeanLoss, QuantileLoss, MultinomialLogisticLoss,
-                               WeightedProblem, solve_weighted)
+from rectiprior.losses import (LinearRegressionLoss, MeanLoss, MlpLoss, QuantileLoss,
+                               MultinomialLogisticLoss, WeightedProblem, solve_weighted)
 from rectiprior.measures import (
     AtomicMeasure,
     LabeledSample,
@@ -108,6 +108,20 @@ class TestCredibleInterval:
             credible_interval([1.0], 0.9)
         with pytest.raises(ParameterError):
             credible_interval([1.0, 2.0], 1.0)
+        with pytest.raises(ParameterError):
+            credible_interval(np.zeros((1, 3)), 0.9)
+
+    def test_run_intervals_are_the_columns_intervals(self):
+        # a run summarises its draws through credible_interval, one row per
+        # coordinate, bit for bit
+        labeled, base, _ = generate_scenario(ScenarioSpec("heteroscedastic-linear", n=60,
+                                                          n_unlabeled=90, seed=2))
+        config = PriorConfig(gamma=1.0, draws=40, level=0.8, seed=4)
+        run = run_posterior(labeled, base, LinearRegressionLoss(), config)
+        assert run.intervals.shape == (3, 2)
+        assert run.intervals.tobytes() == credible_interval(run.samples, 0.8).tobytes()
+        for j in range(3):
+            assert run.intervals[j].tobytes() == credible_interval(run.samples[:, j], 0.8).tobytes()
 
 
 class TestPosteriorDraw:
@@ -370,6 +384,7 @@ class TestRunPlan:
         ("monotone-distortion", QuantileLoss(0.1), Isotonic(), Split(0.5)),
         ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Npb()),
         ("categorical-miscalibrated", MultinomialLogisticLoss(3), ProbRecalib(), Split(0.5)),
+        ("heteroscedastic-linear", LinearRegressionLoss(), MomentAffine(), Npb()),
     ])
     def test_run_matches_from_scratch_draws(self, scenario, loss, rectifier, strategy):
         # a draw called without a plan builds the run's plan itself, so it
@@ -579,7 +594,18 @@ class TestConfigValidation:
         {"gamma": 1.0, "threads": 0},
         {"gamma": np.inf},
         {"gamma": np.nan},
+        {"gamma": 1.0, "seed": -1},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             PriorConfig(**kwargs)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ScenarioSpec("gaussian-shift", n=10, seed=-1),
+        lambda: RunConfig(loss=MeanLoss(), scenario=ScenarioSpec("gaussian-shift", n=10), seed=-1),
+        lambda: MlpLoss(hidden=2, num_classes=2, seed=-1),
+    ], ids=["scenario", "bench", "mlp"])
+    def test_negative_seed_rejected(self, make):
+        # refused where the configuration is built, before any stream is seeded
+        with pytest.raises(ParameterError, match="seed"):
+            make()

@@ -102,9 +102,12 @@ def calibrated_cases(rng, n=40, k=30):
             (MomentAffine(), real, base), (ProbRecalib(), classes, probs)]
 
 
-def step_map_by_definition(spec, state, y):
-    """A step map's outcomes at y as its family defines them: the value on
-    the interval of the cut points that holds each y."""
+def map_by_definition(spec, state, y):
+    """A real map's outcomes at y as its family defines them: a + b*y for
+    the affine map, and for a step map the value on the interval of the cut
+    points that holds each y."""
+    if isinstance(spec, MomentAffine):
+        return state["a"] + state["b"] * y
     if isinstance(spec, QuantileMap):
         grid_t = state["true_grid"]
         cuts, values, side = state["imputed_grid"], np.concatenate([grid_t[:1], grid_t]), "right"
@@ -263,7 +266,7 @@ class TestStepLevels:
             base = real_base(base_y, x=rng.normal(size=(base_y.size, 2)),
                              weights=rng.dirichlet(np.ones(base_y.size)))
             fitted = fit_rectifier(spec, calib, base)
-            mapped = step_map_by_definition(spec, fitted.state, base_y)
+            mapped = map_by_definition(spec, fitted.state, base_y)
             want, inverse = np.unique(mapped, return_inverse=True)
             sorted_base = SortedBase.of(base, merge=True)
             values, lo, hi = spec.levels(fitted.state, sorted_base.values)
@@ -278,11 +281,12 @@ class TestStepLevels:
             assert np.array_equal(mapped[atoms], want)
             assert np.array_equal(merged.covariates, base.covariates[atoms])
 
-    @pytest.mark.parametrize("spec", [QuantileMap(), Isotonic()])
+    @pytest.mark.parametrize("spec", [QuantileMap(), Isotonic(), MomentAffine()])
     def test_apply_is_the_searchsorted_definition(self, spec):
-        # to a plain base and to an unmerged sorted target, byte for byte:
-        # tied base outcomes, zeros of either sign in the base and in the
-        # fitted values, and base outcomes below and above the grid
+        # to a plain base and to the spec's target (an unmerged sorted base
+        # for a step map), byte for byte: tied base outcomes, zeros of either
+        # sign in the base and in the fitted values, and base outcomes below
+        # and above the grid
         rng = np.random.default_rng(12)
         for _ in range(300):
             n = int(rng.integers(1, 25))
@@ -290,15 +294,15 @@ class TestStepLevels:
             y[y == 0] *= rng.choice([-1.0, 1.0], size=int(np.sum(y == 0)))
             yhat = rng.integers(-2, 4, n) * 1.0
             yhat[yhat == 0] *= rng.choice([-1.0, 1.0], size=int(np.sum(yhat == 0)))
-            calib = real_sample(y, yhat=yhat)
+            calib = real_sample(y, x=np.zeros((n, 2)), yhat=yhat)
             grid = np.concatenate([yhat, 0.5 * (yhat[:, None] + yhat[None, :]).ravel(),
                                    [-5.0, -0.0, 0.0, 9.0]])
             base_y = rng.choice(grid, size=int(rng.integers(1, 60)))
             base = real_base(base_y, x=rng.normal(size=(base_y.size, 2)),
                              weights=rng.dirichlet(np.ones(base_y.size)))
             fitted = fit_rectifier(spec, calib, base)
-            want = step_map_by_definition(spec, fitted.state, base_y)
-            for target in (base, SortedBase.of(base, merge=False)):
+            want = map_by_definition(spec, fitted.state, base_y)
+            for target in (base, spec.target(base)):
                 got = apply_rectifier(fitted, target)
                 assert got.outcomes.values.tobytes() == want.tobytes()
                 assert got.covariates is base.covariates and got.weights is base.weights
